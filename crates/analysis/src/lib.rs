@@ -12,7 +12,7 @@
 //!
 //! | id | discipline |
 //! |----|------------|
-//! | L1 | every loop in a `*_budgeted` fn charges or checks its `Budget` |
+//! | L1 | every loop in a fn whose signature names `Budget` charges, checks or passes it on |
 //! | L2 | non-test `unwrap()`/`expect()` in lib code: crate-root deny + justified `#[allow]` |
 //! | L3 | `std::thread::{spawn,scope,Builder}` only inside the sanctioned wrappers |
 //! | L4 | no clock/randomness reachable from `SolveCache` key construction |
@@ -55,7 +55,7 @@ use std::path::{Path, PathBuf};
 /// The lints, by catalog id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// Budget discipline in `*_budgeted` functions.
+    /// Budget discipline in functions whose signature names `Budget`.
     L1,
     /// Unwrap/expect discipline in lib code.
     L2,
@@ -92,7 +92,10 @@ impl Lint {
     /// One-line description, for `--list`.
     pub fn describe(self) -> &'static str {
         match self {
-            Lint::L1 => "every loop in a *_budgeted fn must charge or check its Budget",
+            Lint::L1 => {
+                "every loop in a fn whose signature names Budget must charge, check \
+                 or pass on its Budget"
+            }
             Lint::L2 => {
                 "non-test unwrap()/expect() in lib code needs the crate-root deny \
                  and a justified #[allow]"

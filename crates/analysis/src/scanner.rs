@@ -21,6 +21,9 @@ pub struct FnItem {
     /// Byte offset where the item's contiguous attribute block starts
     /// (equals the `fn`/`pub` offset when there are no attributes).
     pub attrs_start: usize,
+    /// Byte span of the signature: from the `fn` keyword up to the body's
+    /// `{` (empty for bodyless declarations).
+    pub sig: (usize, usize),
     /// Byte span of the `{ … }` body; `None` for bodyless declarations.
     pub body: Option<(usize, usize)>,
     /// Loops lexically inside the body, in source order.
@@ -32,6 +35,10 @@ pub struct FnItem {
 pub struct LoopItem {
     /// 1-based line of the loop keyword.
     pub line: u32,
+    /// Byte span of the code that runs on every iteration: the `{ … }`
+    /// body, plus the condition of a `while` loop (a `for` loop's iterator
+    /// expression runs once, so it is not included).
+    pub per_iteration: (usize, usize),
     /// Byte span of the loop's `{ … }` body.
     pub body: (usize, usize),
 }
@@ -300,6 +307,8 @@ impl SourceFile {
             let (is_pub, head_ci) = self.fn_visibility(ci);
             let attrs_start = self.attrs_start(head_ci);
             let body = self.next_block(name_ci);
+            let fn_start = self.code_tok(ci).start;
+            let sig = (fn_start, body.map_or(fn_start, |(start, _)| start));
             let loops = match body {
                 Some(span) => self.scan_loops(span),
                 None => Vec::new(),
@@ -309,6 +318,7 @@ impl SourceFile {
                 is_pub,
                 line: self.code_tok(ci).line,
                 attrs_start,
+                sig,
                 body,
                 loops,
             });
@@ -403,7 +413,8 @@ impl SourceFile {
             if self.code_kind(ci) != TokenKind::Ident {
                 continue;
             }
-            match self.code_text(ci) {
+            let keyword = self.code_text(ci);
+            match keyword {
                 "loop" | "while" => {}
                 "for" => {
                     // `for<'a>` bounds and `impl Trait for Type` are not
@@ -428,8 +439,14 @@ impl SourceFile {
             if let Some(body) = self.next_block(ci) {
                 // Only loops whose body is inside the function span.
                 if body.1 <= span.1 {
+                    let start = if keyword == "while" {
+                        self.code_tok(ci).start
+                    } else {
+                        body.0
+                    };
                     out.push(LoopItem {
                         line: self.code_tok(ci).line,
+                        per_iteration: (start, body.1),
                         body,
                     });
                 }

@@ -101,6 +101,79 @@ pub fn outer_budgeted(xs: &[u64], budget: &Budget) -> Result<(), BudgetExceeded>
 }
 
 #[test]
+fn l1_scope_is_the_budget_parameter_not_the_name() {
+    // No `_budgeted` suffix: the `&Budget` parameter alone brings the
+    // function under the lint.
+    let src = r#"
+pub fn solve_shortest_path(inst: &Instance, budget: &Budget) -> u64 {
+    let mut acc = 0;
+    for &x in inst.nodes() {
+        acc += x;
+    }
+    acc
+}
+"#;
+    assert_eq!(
+        keys(&[("crates/foo/src/util.rs", src)]),
+        vec!["crates/foo/src/util.rs:4 [L1]"]
+    );
+}
+
+#[test]
+fn l1_passing_the_budget_on_passes() {
+    let src = r#"
+pub fn outer(
+    xs: &[u64],
+    f: impl Fn(u64) -> u64,
+    mut budget: &Budget,
+) -> Result<(), BudgetExceeded> {
+    for &x in xs {
+        relax(f(x), &mut scratch(), budget)?;
+    }
+    while step(budget)? {}
+    Ok(())
+}
+"#;
+    assert!(!fires(&[("crates/foo/src/util.rs", src)], "L1"));
+}
+
+#[test]
+fn l1_passing_something_else_still_fires() {
+    // Only the Budget-typed parameter counts; a `for` loop's iterator
+    // expression runs once, so passing the budget there covers nothing.
+    let src = r#"
+pub fn outer(xs: &[u64], limit: usize, budget: &Budget) -> u64 {
+    let mut acc = 0;
+    for &x in items(xs, budget) {
+        acc += relax(x, limit);
+    }
+    acc
+}
+"#;
+    assert_eq!(
+        keys(&[("crates/foo/src/util.rs", src)]),
+        vec!["crates/foo/src/util.rs:4 [L1]"]
+    );
+}
+
+#[test]
+fn l1_loops_in_test_only_blocks_are_out_of_scope() {
+    let src = r#"
+pub fn outer(xs: &[u64], budget: &Budget) -> u64 {
+    budget.check(Stage::Cover);
+    #[cfg(test)]
+    {
+        for &x in xs {
+            assert!(x > 0);
+        }
+    }
+    0
+}
+"#;
+    assert!(!fires(&[("crates/foo/src/util.rs", src)], "L1"));
+}
+
+#[test]
 fn l1_non_budgeted_fn_is_out_of_scope() {
     let src = "pub fn sweep(xs: &[u64]) -> u64 { let mut a = 0; for &x in xs { a += x; } a }";
     assert!(!fires(&[("crates/foo/src/util.rs", src)], "L1"));

@@ -4,9 +4,10 @@
 
 use aapsm_bench::prepare;
 use aapsm_core::{
-    bipartize, build_phase_conflict_graph, detect_conflicts, plan_correction, planarize_graph,
-    BipartizeMethod, CorrectionOptions, DetectConfig, PlanarizeOrder, TJoinMethod,
+    bipartize_with, build_phase_conflict_graph, detect_conflicts, plan_correction, BipartizeMethod,
+    CorrectionOptions, DetectConfig, PlanarizeOrder, TJoinMethod,
 };
+use aapsm_graph::{crossing_pairs_par, planarize_with_crossings};
 use aapsm_layout::synth::{modification_suite, standard_suite};
 use aapsm_layout::DesignRules;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,7 +25,10 @@ fn planarize_orders(c: &mut Criterion) {
         group.bench_function(tag, |b| {
             b.iter(|| {
                 let mut cg = build_phase_conflict_graph(std::hint::black_box(&p.geom));
-                planarize_graph(&mut cg, order).len()
+                let crossings = crossing_pairs_par(&cg.graph, 1);
+                planarize_with_crossings(&mut cg.graph, order, &crossings)
+                    .removed
+                    .len()
             })
         });
     }
@@ -35,18 +39,20 @@ fn decomposition(c: &mut Criterion) {
     let rules = DesignRules::default();
     let p = prepare(&standard_suite()[0], &rules);
     let mut cg = build_phase_conflict_graph(&p.geom);
-    planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
+    let crossings = crossing_pairs_par(&cg.graph, 1);
+    planarize_with_crossings(&mut cg.graph, PlanarizeOrder::MinWeightFirst, &crossings);
     let mut group = c.benchmark_group("ablation_decompose");
     group.sample_size(10);
     for (tag, blocks) in [("components", false), ("blocks", true)] {
         group.bench_function(tag, |b| {
             b.iter(|| {
-                bipartize(
+                bipartize_with(
                     std::hint::black_box(&cg.graph),
                     BipartizeMethod::OptimalDual {
                         tjoin: TJoinMethod::default(),
                         blocks,
                     },
+                    1,
                 )
             })
         });

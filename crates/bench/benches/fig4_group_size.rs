@@ -3,7 +3,7 @@
 //! quadratically more intra-group edges; the sweep locates the balance the
 //! paper exploits for its ~16% matching-runtime gain.
 
-use aapsm_tjoin::{solve_gadget, GadgetKind, TJoinInstance};
+use aapsm_tjoin::{solve_gadget, Budget, GadgetKind, MatchingContext, TJoinInstance};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 
@@ -30,12 +30,16 @@ fn bench(c: &mut Criterion) {
     let inst = random_instance(9);
     let mut group = c.benchmark_group("fig4_group_size");
     group.sample_size(10);
+    let mut ctx = MatchingContext::new();
+    let unlimited = Budget::unlimited();
     for max_group in [2usize, 3, 4, 6, 8, 12, 16] {
         group.bench_function(format!("group_{max_group}"), |b| {
             b.iter(|| {
                 solve_gadget(
                     std::hint::black_box(&inst),
                     GadgetKind::Generalized { max_group },
+                    &mut ctx,
+                    &unlimited,
                 )
                 .expect("feasible")
             })
@@ -43,7 +47,13 @@ fn bench(c: &mut Criterion) {
     }
     group.bench_function("complete", |b| {
         b.iter(|| {
-            solve_gadget(std::hint::black_box(&inst), GadgetKind::Complete).expect("feasible")
+            solve_gadget(
+                std::hint::black_box(&inst),
+                GadgetKind::Complete,
+                &mut ctx,
+                &unlimited,
+            )
+            .expect("feasible")
         })
     });
     group.finish();

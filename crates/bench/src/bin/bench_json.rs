@@ -24,10 +24,9 @@
 //! wrong answer; the `identical` fields record that the assertion ran.
 
 use aapsm_core::{
-    bipartize_with, build_conflict_graph, build_conflict_graph_par, build_conflict_graph_tiled,
-    detect_conflicts, detect_hier, plan_correction, planarize_graph_par, tjoin_method_census,
-    BipartizeMethod, CorrectionOptions, DetectConfig, GraphKind, RedetectEngine, TJoinMethod,
-    TileConfig,
+    bipartize_with, build_conflict_graph_par, build_conflict_graph_tiled, detect_conflicts,
+    detect_hier, plan_correction, tjoin_method_census, BipartizeMethod, Budget, CorrectionOptions,
+    DetectConfig, GraphKind, RedetectEngine, TJoinMethod, TileConfig,
 };
 use aapsm_core::{ConflictGraph, PlanarizeOrder};
 use aapsm_geom::Axis;
@@ -70,7 +69,13 @@ fn time_planarize(
     let mut removed = Vec::new();
     for cg in &mut inputs {
         let t = Instant::now();
-        removed = planarize_graph_par(cg, PlanarizeOrder::MinWeightFirst, parallelism);
+        let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, parallelism);
+        removed = aapsm_graph::planarize_with_crossings(
+            &mut cg.graph,
+            PlanarizeOrder::MinWeightFirst,
+            &crossings,
+        )
+        .removed;
         best = best.min(t.elapsed().as_secs_f64());
     }
     (best, inputs, removed)
@@ -141,7 +146,7 @@ fn main() {
 
         // ---- Stage 2: conflict-graph build. ----
         let (build_serial_s, cg0) = time_best(reps, || {
-            build_conflict_graph(&geom, GraphKind::PhaseConflict)
+            build_conflict_graph_par(&geom, GraphKind::PhaseConflict, 1)
         });
         // The pipeline entry point: on a single-core runner this resolves
         // to the serial builders (tiling buys nothing without a second
@@ -160,7 +165,13 @@ fn main() {
             tiles: 3,
             parallelism: 0,
         };
-        let cg_tiled = build_conflict_graph_tiled(&geom, GraphKind::PhaseConflict, &tile_cfg);
+        let (cg_tiled, _) = build_conflict_graph_tiled(
+            &geom,
+            GraphKind::PhaseConflict,
+            &tile_cfg,
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
         assert_eq!(
             cg0, cg_tiled,
             "{}: tile-sharded build diverged from serial",
@@ -181,13 +192,13 @@ fn main() {
         // ---- Stage 4: face trace + dual build (the planar-embedding
         // front half of bipartization, parallelized per component). ----
         let (face_dual_serial_s, serial_embedding) = time_best(reps, || {
-            let faces = aapsm_graph::trace_faces(&cg.graph);
-            let dual = aapsm_graph::build_dual(&cg.graph, &faces);
+            let faces = aapsm_graph::trace_faces(&cg.graph, 1);
+            let dual = aapsm_graph::build_dual(&cg.graph, &faces, 1);
             (faces, dual)
         });
         let (face_dual_parallel_s, parallel_embedding) = time_best(reps, || {
-            let faces = aapsm_graph::trace_faces_par(&cg.graph, 0);
-            let dual = aapsm_graph::build_dual_par(&cg.graph, &faces, 0);
+            let faces = aapsm_graph::trace_faces(&cg.graph, 0);
+            let dual = aapsm_graph::build_dual(&cg.graph, &faces, 0);
             (faces, dual)
         });
         assert_eq!(

@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run -p aapsm-bench --bin fig3_gadgets --release`
 
-use aapsm_tjoin::{solve_gadget, GadgetKind, TJoinInstance};
+use aapsm_tjoin::{solve_gadget, Budget, GadgetKind, MatchingContext, TJoinInstance};
 
 /// A star instance with the given hub degree (plus parity-consistent T).
 fn star(degree: usize) -> TJoinInstance {
@@ -26,6 +26,7 @@ fn main() {
         "degree", "compl n", "compl e", "opt n", "opt e", "gen8 n", "gen8 e"
     );
     println!("{}", "-".repeat(78));
+    let mut ctx = MatchingContext::new();
     for degree in [3usize, 5, 8, 12, 16, 24, 32] {
         let inst = star(degree);
         let kinds = [
@@ -35,7 +36,11 @@ fn main() {
         ];
         let stats: Vec<_> = kinds
             .iter()
-            .map(|&k| solve_gadget(&inst, k).expect("feasible").1)
+            .map(|&k| {
+                solve_gadget(&inst, k, &mut ctx, &Budget::unlimited())
+                    .expect("feasible")
+                    .1
+            })
             .collect();
         println!(
             "{:>6} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10}",

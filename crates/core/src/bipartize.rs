@@ -7,11 +7,12 @@
 //! parity-aware strengthening) and a brute-force reference are included.
 
 use aapsm_fault::{Budget, BudgetExceeded};
+use aapsm_geom::workers_for;
 use aapsm_graph::{
     biconnected_components, component_embeddings_budgeted, greedy_parity_subgraph,
     max_weight_spanning_forest, two_color_excluding, EdgeId, EmbeddedGraph,
 };
-use aapsm_tjoin::{solve_budgeted, MatchingContext, TJoinError, TJoinInstance, TJoinMethod};
+use aapsm_tjoin::{solve, MatchingContext, TJoinError, TJoinInstance, TJoinMethod};
 
 /// Bipartization algorithm selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,33 +53,20 @@ pub struct BipartizeOutcome {
     pub weight: i64,
 }
 
-/// Computes an edge set whose removal makes the alive subgraph bipartite.
+/// Computes an edge set whose removal makes the alive subgraph bipartite,
+/// on up to `parallelism` workers.
 ///
 /// For [`BipartizeMethod::OptimalDual`] the graph must be a plane drawing
 /// (planarize first); the result is then a *minimum-weight* such set.
 /// Edges are **not** killed in `g`.
-///
-/// Serial entry point; see [`bipartize_with`] for the parallel one (their
-/// results are identical bit for bit).
-///
-/// # Panics
-///
-/// Panics if the optimal method is used on a drawing with crossings
-/// (debug builds), or if an internal T-join turns out infeasible — which
-/// cannot happen for duals of plane graphs.
-pub fn bipartize(g: &EmbeddedGraph, method: BipartizeMethod) -> BipartizeOutcome {
-    bipartize_with(g, method, 1)
-}
-
-/// [`bipartize`] with an explicit parallelism degree.
 ///
 /// The optimal-dual path is a decompose-then-solve pipeline: every
 /// independent dual T-join instance (one per component, or per biconnected
 /// block) is extracted first, then the instances are solved on
 /// `parallelism` worker threads, each holding its own reusable
 /// [`MatchingContext`] arena. Deleted-edge sets are merged in instance
-/// order and sorted by [`EdgeId`], so the outcome is **bit-identical to
-/// the serial path** for every parallelism degree.
+/// order and sorted by [`EdgeId`], so the outcome is **bit-identical for
+/// every parallelism degree**.
 ///
 /// `parallelism` semantics: `0` = one worker per available CPU, `1` =
 /// solve inline on the calling thread, `k` = at most `k` workers. The
@@ -86,7 +74,9 @@ pub fn bipartize(g: &EmbeddedGraph, method: BipartizeMethod) -> BipartizeOutcome
 ///
 /// # Panics
 ///
-/// Same contract as [`bipartize`].
+/// Panics if the optimal method is used on a drawing with crossings
+/// (debug builds), or if an internal T-join turns out infeasible — which
+/// cannot happen for duals of plane graphs.
 pub fn bipartize_with(
     g: &EmbeddedGraph,
     method: BipartizeMethod,
@@ -102,8 +92,9 @@ pub fn bipartize_with(
             finish(g, f.leftover)
         }
         BipartizeMethod::OptimalDual { tjoin, blocks } => {
-            match optimal_uncached_budgeted(g, tjoin, blocks, parallelism, &Budget::unlimited()) {
-                Ok(outcome) => outcome,
+            let unlimited = Budget::unlimited();
+            match optimal(g, tjoin, blocks, parallelism, &unlimited, CacheRef::None) {
+                Ok((outcome, _)) => outcome,
                 Err(_) => unreachable!("unlimited budget never trips"),
             }
         }
@@ -158,25 +149,7 @@ pub(crate) fn bipartize_optimal_budgeted(
     budget: &Budget,
     cache: CacheRef<'_>,
 ) -> BipartizeRun {
-    let attempt = match cache {
-        CacheRef::Owned(cache) => {
-            cached_budgeted(g, tjoin, blocks, parallelism, &mut *cache, budget).map(|outcome| {
-                (
-                    outcome,
-                    CacheActivity {
-                        hits: cache.hits,
-                        misses: cache.misses,
-                    },
-                )
-            })
-        }
-        CacheRef::Shared(shared) => {
-            cached_shared_budgeted(g, tjoin, blocks, parallelism, shared, budget)
-        }
-        CacheRef::None => optimal_uncached_budgeted(g, tjoin, blocks, parallelism, budget)
-            .map(|outcome| (outcome, CacheActivity::default())),
-    };
-    match attempt {
+    match optimal(g, tjoin, blocks, parallelism, budget, cache) {
         Ok((outcome, activity)) => BipartizeRun {
             outcome,
             degraded: None,
@@ -190,20 +163,42 @@ pub(crate) fn bipartize_optimal_budgeted(
     }
 }
 
-fn optimal_uncached_budgeted(
+/// The one optimal-dual body: extract the instances, answer what `cache`
+/// already holds, solve the rest, and commit them. A shared cache is
+/// locked for the lookup and the commit only, never for the solve, so
+/// concurrent sessions never serialize on each other's matching work.
+/// With [`CacheRef::None`] no instance key is built and no lock is taken;
+/// every instance is solved and the activity is zero.
+fn optimal(
     g: &EmbeddedGraph,
     tjoin: TJoinMethod,
     blocks: bool,
     parallelism: usize,
     budget: &Budget,
-) -> Result<BipartizeOutcome, BudgetExceeded> {
+    mut cache: CacheRef<'_>,
+) -> Result<(BipartizeOutcome, CacheActivity), BudgetExceeded> {
     let instances = if blocks {
         extract_block_instances(g, parallelism, budget)?
     } else {
         extract_component_instances(g, parallelism, budget)?
     };
-    let deleted = solve_instances(&instances, tjoin, parallelism, budget)?;
-    Ok(finish(g, deleted))
+    let mut split = match &mut cache {
+        CacheRef::None => CacheSplit::uncached(instances.len()),
+        CacheRef::Owned(cache) => cache_lookup(cache, &instances, tjoin),
+        CacheRef::Shared(shared) => cache_lookup(&mut shared.lock(), &instances, tjoin),
+    };
+    let joins = solve_missing(&instances, &split.unsolved, tjoin, parallelism, budget)?;
+    // lint: allow(L1) — linear in the joins the charged solve produced
+    for (&k, join) in split.unsolved.iter().zip(&joins) {
+        let primal = &instances[k].primal_of_edge;
+        split.deleted_per_instance[k] = Some(join.iter().map(|&ei| primal[ei]).collect());
+    }
+    let activity = match cache {
+        CacheRef::None => CacheActivity::default(),
+        CacheRef::Owned(cache) => cache_commit(cache, &mut split, joins),
+        CacheRef::Shared(shared) => cache_commit(&mut shared.lock(), &mut split, joins),
+    };
+    Ok((assemble(g, split), activity))
 }
 
 fn finish(g: &EmbeddedGraph, mut deleted: Vec<EdgeId>) -> BipartizeOutcome {
@@ -482,23 +477,6 @@ impl SharedSolveCache {
     }
 }
 
-/// [`bipartize_with`] for the optimal-dual method, memoizing per-instance
-/// solutions in `cache`. Bit-identical to the uncached path (see
-/// [`SolveCache`]); hit/miss counts are left in the cache's public
-/// counters.
-pub fn bipartize_with_cache(
-    g: &EmbeddedGraph,
-    tjoin: TJoinMethod,
-    blocks: bool,
-    parallelism: usize,
-    cache: &mut SolveCache,
-) -> BipartizeOutcome {
-    match cached_budgeted(g, tjoin, blocks, parallelism, cache, &Budget::unlimited()) {
-        Ok(outcome) => outcome,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    }
-}
-
 /// The cached-vs-to-solve split of one call's instances, produced under
 /// the cache lock by [`cache_lookup`] and consumed lock-free afterwards.
 struct CacheSplit {
@@ -514,6 +492,19 @@ struct CacheSplit {
     methods: Vec<Option<TJoinMethod>>,
     /// Hits answered in this lookup.
     hits: usize,
+}
+
+impl CacheSplit {
+    /// The split of an uncached call: every instance is solved fresh.
+    fn uncached(count: usize) -> CacheSplit {
+        CacheSplit {
+            deleted_per_instance: vec![None; count],
+            unsolved: (0..count).collect(),
+            keys: Vec::new(),
+            methods: Vec::new(),
+            hits: 0,
+        }
+    }
 }
 
 /// The lookup phase: answers hits from the cache, updates recency, and
@@ -569,9 +560,11 @@ fn cache_lookup(cache: &mut SolveCache, instances: &[DualTJoin], tjoin: TJoinMet
     }
 }
 
-/// The solve phase: runs the missing instances with the same scheduling
-/// policy as the uncached path. Lock-free by construction — it only reads
-/// the instances and the split.
+/// The solve phase: solves the instances the lookup left unsolved (all
+/// of them without a cache) and returns their joins in local edge ids.
+/// Lock-free by construction — it only reads the instances. Each worker
+/// owns one matching arena for its whole batch; results come back in
+/// batch order (see `par_map_indexed`), independent of scheduling.
 fn solve_missing(
     instances: &[DualTJoin],
     unsolved: &[usize],
@@ -588,23 +581,19 @@ fn solve_missing(
     .collect::<Result<_, BudgetExceeded>>()
 }
 
-/// The commit phase: files the solved joins into the split and inserts
-/// them into the cache, then evicts. Short — safe to run under a shared
-/// cache's lock. A budget trip in the solve phase reaches neither this
-/// nor eviction (nothing is inserted), so a tripped round can never
+/// The commit phase: inserts the solved joins into the cache, evicts, and
+/// returns the call's hit/miss activity. Short — safe to run under a
+/// shared cache's lock. A budget trip in the solve phase reaches neither
+/// this nor eviction (nothing is inserted), so a tripped round can never
 /// pollute later bit-identity.
 // Invariant, not an error path: a key is retained for every miss.
 #[allow(clippy::expect_used)]
 fn cache_commit(
     cache: &mut SolveCache,
-    instances: &[DualTJoin],
     split: &mut CacheSplit,
     joins: Vec<Vec<usize>>,
-) {
+) -> CacheActivity {
     for (k, join) in split.unsolved.iter().zip(joins) {
-        let dt = &instances[*k];
-        split.deleted_per_instance[*k] =
-            Some(join.iter().map(|&ei| dt.primal_of_edge[ei]).collect());
         let last_used = cache.generation;
         let touched = cache.next_touch();
         cache.map.insert(
@@ -620,6 +609,10 @@ fn cache_commit(
         );
     }
     cache.evict();
+    CacheActivity {
+        hits: split.hits,
+        misses: split.unsolved.len(),
+    }
 }
 
 // Invariant, not an error path: every instance is either solved or
@@ -634,54 +627,6 @@ fn assemble(g: &EmbeddedGraph, split: CacheSplit) -> BipartizeOutcome {
     finish(g, deleted)
 }
 
-/// The budgeted body of [`bipartize_with_cache`]: lookup → solve misses →
-/// commit, all against a caller-owned cache.
-fn cached_budgeted(
-    g: &EmbeddedGraph,
-    tjoin: TJoinMethod,
-    blocks: bool,
-    parallelism: usize,
-    cache: &mut SolveCache,
-    budget: &Budget,
-) -> Result<BipartizeOutcome, BudgetExceeded> {
-    let instances = if blocks {
-        extract_block_instances(g, parallelism, budget)?
-    } else {
-        extract_component_instances(g, parallelism, budget)?
-    };
-    let mut split = cache_lookup(cache, &instances, tjoin);
-    let joins = solve_missing(&instances, &split.unsolved, tjoin, parallelism, budget)?;
-    cache_commit(cache, &instances, &mut split, joins);
-    Ok(assemble(g, split))
-}
-
-/// [`cached_budgeted`] against a [`SharedSolveCache`]: the same three
-/// phases, with the lock scoped to the lookup and the commit only — the
-/// solve of the missing instances runs unlocked, so concurrent sessions
-/// never serialize on each other's matching work.
-fn cached_shared_budgeted(
-    g: &EmbeddedGraph,
-    tjoin: TJoinMethod,
-    blocks: bool,
-    parallelism: usize,
-    shared: &SharedSolveCache,
-    budget: &Budget,
-) -> Result<(BipartizeOutcome, CacheActivity), BudgetExceeded> {
-    let instances = if blocks {
-        extract_block_instances(g, parallelism, budget)?
-    } else {
-        extract_component_instances(g, parallelism, budget)?
-    };
-    let mut split = cache_lookup(&mut shared.lock(), &instances, tjoin);
-    let joins = solve_missing(&instances, &split.unsolved, tjoin, parallelism, budget)?;
-    cache_commit(&mut shared.lock(), &instances, &mut split, joins);
-    let activity = CacheActivity {
-        hits: split.hits,
-        misses: split.unsolved.len(),
-    };
-    Ok((assemble(g, split), activity))
-}
-
 /// Solves one dual T-join under the budget. Infeasibility cannot happen
 /// here — odd faces come in even numbers per component — so only budget
 /// trips surface as errors.
@@ -691,7 +636,7 @@ fn solve_dual_join(
     ctx: &mut MatchingContext,
     budget: &Budget,
 ) -> Result<aapsm_tjoin::TJoin, BudgetExceeded> {
-    match solve_budgeted(inst, tjoin, ctx, budget) {
+    match solve(inst, tjoin, ctx, budget) {
         Ok(join) => Ok(join),
         Err(TJoinError::Budget(e)) => Err(e),
         Err(other) => unreachable!("dual T-join of a plane component is feasible: {other:?}"),
@@ -722,33 +667,31 @@ fn extract_component_instances(
     parallelism: usize,
     budget: &Budget,
 ) -> Result<Vec<DualTJoin>, BudgetExceeded> {
-    debug_assert!(aapsm_graph::crossing_pairs(g).is_planar());
+    debug_assert!(aapsm_graph::crossing_pairs_par(g, 1).is_planar());
     let embeddings = component_embeddings_budgeted(g, parallelism, budget)?;
     let with_odd: Vec<_> = embeddings.iter().filter(|e| e.has_odd_face()).collect();
     if with_odd.is_empty() {
         return Ok(Vec::new());
     }
-    // Same adaptive policy (and the same dual-edge metric) as
-    // `solve_instances`: under auto parallelism, assembling a handful of
-    // tiny instances is microsecond work and thread spawn/join would
-    // dominate. The classification scan runs only on the auto path —
-    // explicit degrees don't need the count.
-    let auto_serial = parallelism == 0 && {
-        let total_dual_edges: usize = with_odd
+    // Same serial-fallback work measure (dual edges) as
+    // `solve_worker_count`: under auto parallelism, assembling a handful
+    // of tiny instances is microsecond work. Only auto parallelism reads
+    // the count, so explicit degrees skip the classification scan.
+    let dual_edges = if parallelism == 0 {
+        with_odd
             .iter()
             .map(|emb| {
                 (0..emb.edges.len())
                     .filter(|&i| emb.face_of[2 * i] != emb.face_of[2 * i + 1])
                     .count()
             })
-            .sum();
-        total_dual_edges < SERIAL_FALLBACK_DUAL_EDGES
-    };
-    let workers = if auto_serial {
-        1
+            .sum()
     } else {
-        effective_workers(parallelism, with_odd.len())
+        0
     };
+    let workers = workers_for(parallelism, dual_edges)
+        .min(with_odd.len())
+        .max(1);
     Ok(aapsm_geom::par_map_indexed(
         with_odd.len(),
         workers,
@@ -757,6 +700,7 @@ fn extract_component_instances(
             let emb = with_odd[k];
             let mut edges = Vec::with_capacity(emb.edges.len());
             let mut primal = Vec::with_capacity(emb.edges.len());
+            // lint: allow(L1) — linear in the component, whose trace charged its edges
             for (i, &e) in emb.edges.iter().enumerate() {
                 let a = emb.face_of[2 * i];
                 let b = emb.face_of[2 * i + 1];
@@ -788,7 +732,12 @@ fn extract_block_instances(
 ) -> Result<Vec<DualTJoin>, BudgetExceeded> {
     let blocks = biconnected_components(g);
     let mut instances = Vec::new();
+    // The scratch graph holds exactly one block's edges alive at a time.
     let mut scratch = g.clone();
+    // lint: allow(L1) — O(E) once; the traces below charge every block edge
+    for e in g.alive_edges() {
+        scratch.kill_edge(e);
+    }
     for block in &blocks {
         if block.len() < 3 {
             // A block with < 3 edges has no odd cycles: single edges and
@@ -796,65 +745,25 @@ fn extract_block_instances(
             // 2-cycle.
             continue;
         }
-        // Restrict the scratch graph to this block.
-        for e in g.alive_edges() {
-            scratch.kill_edge(e);
-        }
+        // lint: allow(L1) — linear in the block, whose trace charges each edge
         for &e in block {
             scratch.revive_edge(e);
         }
         // A block is connected, so this is at most one instance; the
         // worker resolution inside collapses to an inline trace.
         instances.extend(extract_component_instances(&scratch, parallelism, budget)?);
+        // lint: allow(L1) — linear in the block, whose trace charged each edge
+        for &e in block {
+            scratch.kill_edge(e);
+        }
     }
     Ok(instances)
 }
 
-/// Minimum total dual-edge work before auto parallelism spawns threads.
-///
-/// Below this, the whole solve takes well under a millisecond, so thread
-/// spawn/join overhead dominates any speedup — the `BENCH_bipartize_scaling`
-/// regression at many tiny instances. Applies only to `parallelism = 0`
-/// (an explicit worker count is honored) and is purely a scheduling
-/// decision: results are bit-identical either way.
-const SERIAL_FALLBACK_DUAL_EDGES: usize = 2048;
-
-/// Solves the extracted instances and returns the merged primal deleted
-/// edges, in deterministic instance order regardless of `parallelism`.
-///
-/// Adaptive: under auto parallelism, tiny total instance work (see
-/// [`SERIAL_FALLBACK_DUAL_EDGES`]) keeps the solve on the calling thread.
-fn solve_instances(
-    instances: &[DualTJoin],
-    tjoin: TJoinMethod,
-    parallelism: usize,
-    budget: &Budget,
-) -> Result<Vec<EdgeId>, BudgetExceeded> {
-    let workers = solve_worker_count(instances, instances.len(), parallelism);
-    // Each worker owns one arena for its whole batch; results merge in
-    // instance order (see `par_map_indexed`), so the outcome is
-    // independent of scheduling.
-    let per_instance: Vec<Vec<EdgeId>> =
-        aapsm_geom::par_map_indexed(instances.len(), workers, MatchingContext::new, |ctx, i| {
-            let dt = &instances[i];
-            solve_dual_join(&dt.inst, tjoin, ctx, budget)
-                .map(|join| join.edges.iter().map(|&ei| dt.primal_of_edge[ei]).collect())
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-    Ok(per_instance.into_iter().flatten().collect())
-}
-
-/// Resolves the `parallelism` knob (`0` = auto) against the instance count.
-fn effective_workers(parallelism: usize, instances: usize) -> usize {
-    aapsm_geom::resolve_workers(parallelism)
-        .min(instances)
-        .max(1)
-}
-
 /// Worker count for solving (a subset of) a call's instances. The
-/// adaptive serial fallback is decided by the **total** dual-edge work of
-/// all the call's instances, never by the subset actually being solved:
+/// serial fallback of [`workers_for`] is decided by the **total**
+/// dual-edge work of all the call's instances, never by the subset
+/// actually being solved:
 /// the cached path hands this the post-lookup miss subset, and basing the
 /// decision on the misses alone would let a warm cache fall back to
 /// serial while the uncached path spawns workers for the byte-identical
@@ -863,11 +772,7 @@ fn effective_workers(parallelism: usize, instances: usize) -> usize {
 /// property suite pins down.
 fn solve_worker_count(instances: &[DualTJoin], batch: usize, parallelism: usize) -> usize {
     let total_dual_edges: usize = instances.iter().map(|dt| dt.inst.edges().len()).sum();
-    if parallelism == 0 && total_dual_edges < SERIAL_FALLBACK_DUAL_EDGES {
-        1
-    } else {
-        effective_workers(parallelism, batch)
-    }
+    workers_for(parallelism, total_dual_edges).min(batch).max(1)
 }
 
 /// Per-method pick counts of the [`TJoinMethod::Auto`] heuristic over a
@@ -942,9 +847,35 @@ pub fn brute_force_bipartize(g: &EmbeddedGraph) -> BipartizeOutcome {
 mod tests {
     use super::*;
     use aapsm_geom::Point;
-    use aapsm_graph::{planarize, PlanarizeOrder};
+    use aapsm_graph::{crossing_pairs_par, planarize_with_crossings, PlanarizeOrder};
     use aapsm_tjoin::GadgetKind;
     use rand::{Rng, SeedableRng};
+
+    fn planarize(g: &mut EmbeddedGraph) {
+        let crossings = crossing_pairs_par(g, 1);
+        planarize_with_crossings(g, PlanarizeOrder::MinWeightFirst, &crossings);
+    }
+
+    /// The optimal-dual body through a caller-owned cache; hit/miss
+    /// counts are left in the cache's public counters.
+    fn bipartize_cached(
+        g: &EmbeddedGraph,
+        tjoin: TJoinMethod,
+        parallelism: usize,
+        cache: &mut SolveCache,
+    ) -> BipartizeOutcome {
+        let unlimited = Budget::unlimited();
+        optimal(
+            g,
+            tjoin,
+            false,
+            parallelism,
+            &unlimited,
+            CacheRef::Owned(cache),
+        )
+        .expect("unlimited budget")
+        .0
+    }
 
     fn methods() -> Vec<BipartizeMethod> {
         vec![
@@ -977,7 +908,7 @@ mod tests {
         g.add_edge(b, c, 3);
         let cheap = g.add_edge(c, a, 2);
         for m in methods() {
-            let out = bipartize(&g, m);
+            let out = bipartize_with(&g, m, 1);
             assert_eq!(out.deleted, vec![cheap], "{m:?}");
             assert_eq!(out.weight, 2);
         }
@@ -993,7 +924,7 @@ mod tests {
             g.add_edge(n[i], n[(i + 1) % 4], 1);
         }
         for m in methods() {
-            assert!(bipartize(&g, m).deleted.is_empty(), "{m:?}");
+            assert!(bipartize_with(&g, m, 1).deleted.is_empty(), "{m:?}");
         }
     }
 
@@ -1012,15 +943,15 @@ mod tests {
         g.add_edge(bot, b, 10);
         let shared = g.add_edge(a, b, 15);
         for m in methods() {
-            let out = bipartize(&g, m);
+            let out = bipartize_with(&g, m, 1);
             assert_eq!(out.deleted, vec![shared], "{m:?}");
             assert_eq!(out.weight, 15);
         }
         // Greedy parity deletes one edge too (any closing edge).
-        let gp = bipartize(&g, BipartizeMethod::GreedyParity);
+        let gp = bipartize_with(&g, BipartizeMethod::GreedyParity, 1);
         assert!(gp.weight >= 15 || !gp.deleted.is_empty());
         // Literal spanning-forest GB deletes |E| - (V-1) = 2 edges.
-        let gb = bipartize(&g, BipartizeMethod::GreedySpanning);
+        let gb = bipartize_with(&g, BipartizeMethod::GreedySpanning, 1);
         assert_eq!(gb.deleted.len(), 2);
     }
 
@@ -1046,13 +977,13 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..40));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            planarize(&mut g);
             if g.alive_edge_count() > 20 {
                 continue;
             }
             let brute = brute_force_bipartize(&g);
             for m in methods() {
-                let out = bipartize(&g, m);
+                let out = bipartize_with(&g, m, 1);
                 assert_eq!(
                     out.weight, brute.weight,
                     "trial {trial} {m:?}: optimal must match brute force"
@@ -1064,49 +995,82 @@ mod tests {
                 BipartizeMethod::GreedyParity,
                 BipartizeMethod::GreedySpanning,
             ] {
-                let out = bipartize(&g, m);
+                let out = bipartize_with(&g, m, 1);
                 assert!(out.weight >= brute.weight, "trial {trial} {m:?}");
             }
         }
     }
 
+    /// The one optimal body gives the same outcome with no cache, a
+    /// caller-owned cache and a shared cache, cold and warm, at every
+    /// parallelism degree, with exact activity: none for `CacheRef::None`,
+    /// every instance a miss cold and a hit warm otherwise.
     #[test]
     fn cached_bipartize_is_bit_identical_and_hits_on_replay() {
+        use aapsm_layout::{extract_phase_geometry, fixtures, synth, DesignRules};
         // Two far-apart triangles: two components, each with an odd face
         // forcing one deletion.
-        let mut g = EmbeddedGraph::new();
+        let mut triangles = EmbeddedGraph::new();
         for ox in [0i64, 10_000] {
-            let a = g.add_node(Point::new(ox, 0));
-            let b = g.add_node(Point::new(ox + 100, 0));
-            let c = g.add_node(Point::new(ox + 50, 80));
-            g.add_edge(a, b, 5);
-            g.add_edge(b, c, 3);
-            g.add_edge(c, a, 2);
+            let a = triangles.add_node(Point::new(ox, 0));
+            let b = triangles.add_node(Point::new(ox + 100, 0));
+            let c = triangles.add_node(Point::new(ox + 50, 80));
+            triangles.add_edge(a, b, 5);
+            triangles.add_edge(b, c, 3);
+            triangles.add_edge(c, a, 2);
+        }
+        let r = DesignRules::default();
+        let synth_params = synth::SynthParams {
+            rows: 2,
+            gates_per_row: 40,
+            ..Default::default()
+        };
+        let mut graphs = vec![triangles];
+        for layout in [
+            fixtures::gate_over_strap(&r),
+            fixtures::strap_under_bus(4, &r),
+            fixtures::corridor_unblock_two_round(&r),
+            synth::generate(&synth_params, &r),
+        ] {
+            let geom = extract_phase_geometry(&layout, &r);
+            let kind = crate::GraphKind::PhaseConflict;
+            let mut g = crate::graphs::build_conflict_graph(&geom, kind).graph;
+            planarize(&mut g);
+            graphs.push(g);
         }
         let tjoin = TJoinMethod::default();
-        let plain = bipartize_with(
-            &g,
-            BipartizeMethod::OptimalDual {
+        let unlimited = Budget::unlimited();
+        for (gi, g) in graphs.iter().enumerate() {
+            let census = tjoin_method_census(g, false);
+            let instances = census.closure + census.gadget;
+            assert!(instances > 0, "graph {gi} has no odd component");
+            let method = BipartizeMethod::OptimalDual {
                 tjoin,
                 blocks: false,
-            },
-            1,
-        );
-        let mut cache = SolveCache::new();
-        let first = bipartize_with_cache(&g, tjoin, false, 1, &mut cache);
-        assert_eq!(first.deleted, plain.deleted);
-        assert_eq!(first.weight, plain.weight);
-        assert_eq!(cache.hits, 0);
-        assert!(cache.misses > 0);
-        // Replaying the identical graph answers everything from cache.
-        let second = bipartize_with_cache(&g, tjoin, false, 2, &mut cache);
-        assert_eq!(second.deleted, plain.deleted);
-        assert_eq!(cache.misses, 0);
-        assert!(cache.hits > 0);
-        // Parallel cached solve stays bit-identical too.
-        let mut cache2 = SolveCache::new();
-        let par = bipartize_with_cache(&g, tjoin, false, 4, &mut cache2);
-        assert_eq!(par.deleted, plain.deleted);
+            };
+            let plain = bipartize_with(g, method, 1);
+            for parallelism in [0usize, 1, 2, 4] {
+                let context = format!("graph {gi}, parallelism {parallelism}");
+                let run = |cache: CacheRef<'_>| {
+                    optimal(g, tjoin, false, parallelism, &unlimited, cache).unwrap()
+                };
+                let (out, none) = run(CacheRef::None);
+                assert_eq!(out.deleted, plain.deleted, "{context}: none");
+                assert_eq!((none.hits, none.misses), (0, 0), "{context}: none");
+                let mut owned = SolveCache::new();
+                let shared = SharedSolveCache::new(SolveCache::DEFAULT_CAPACITY);
+                for (round, expected) in [("cold", (0, instances)), ("warm", (instances, 0))] {
+                    let (out, activity) = run(CacheRef::Owned(&mut owned));
+                    assert_eq!(out.deleted, plain.deleted, "{context}: owned {round}");
+                    assert_eq!(out.weight, plain.weight, "{context}: owned {round}");
+                    assert_eq!((activity.hits, activity.misses), expected, "{context}");
+                    assert_eq!((owned.hits, owned.misses), expected, "{context}");
+                    let (out, activity) = run(CacheRef::Shared(&shared));
+                    assert_eq!(out.deleted, plain.deleted, "{context}: shared {round}");
+                    assert_eq!((activity.hits, activity.misses), expected, "{context}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1126,12 +1090,12 @@ mod tests {
         g2.add_edge(e, f, 8);
         g2.add_edge(f, d, 7);
         let mut cache = SolveCache::new();
-        bipartize_with_cache(&g1, TJoinMethod::default(), false, 1, &mut cache);
+        bipartize_cached(&g1, TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.len(), 1);
         // g1's entry survives one idle round, then is evicted.
-        bipartize_with_cache(&g2, TJoinMethod::default(), false, 1, &mut cache);
+        bipartize_cached(&g2, TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.len(), 2);
-        bipartize_with_cache(&g2, TJoinMethod::default(), false, 1, &mut cache);
+        bipartize_cached(&g2, TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.len(), 1);
     }
 
@@ -1156,13 +1120,13 @@ mod tests {
         let mut cache = SolveCache::with_capacity(1);
         assert_eq!(cache.capacity(), 1);
         for g in &graphs {
-            bipartize_with_cache(g, TJoinMethod::default(), false, 1, &mut cache);
+            bipartize_cached(g, TJoinMethod::default(), 1, &mut cache);
             assert_eq!(cache.len(), 1, "capacity bound must hold");
         }
         // Re-solving the most recent graph hits; an evicted one misses.
-        bipartize_with_cache(&graphs[2], TJoinMethod::default(), false, 1, &mut cache);
+        bipartize_cached(&graphs[2], TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.hits, 1);
-        bipartize_with_cache(&graphs[0], TJoinMethod::default(), false, 1, &mut cache);
+        bipartize_cached(&graphs[0], TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.misses, 1);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
@@ -1174,9 +1138,9 @@ mod tests {
         // the only policy, so an entry survives arbitrarily many idle
         // generations as long as the cache has room.
         let mut roomy = SolveCache::with_capacity(16);
-        bipartize_with_cache(&graphs[0], TJoinMethod::default(), false, 1, &mut roomy);
+        bipartize_cached(&graphs[0], TJoinMethod::default(), 1, &mut roomy);
         for _ in 0..4 {
-            bipartize_with_cache(&graphs[1], TJoinMethod::default(), false, 1, &mut roomy);
+            bipartize_cached(&graphs[1], TJoinMethod::default(), 1, &mut roomy);
         }
         assert_eq!(roomy.len(), 2, "no idle eviction under with_capacity");
     }
@@ -1206,13 +1170,14 @@ mod tests {
             1,
         );
         let shared = SharedSolveCache::new(64);
+        let unlimited = Budget::unlimited();
         let (first, a1) =
-            cached_shared_budgeted(&g, tjoin, false, 1, &shared, &Budget::unlimited()).unwrap();
+            optimal(&g, tjoin, false, 1, &unlimited, CacheRef::Shared(&shared)).unwrap();
         assert_eq!(first.deleted, plain.deleted);
         assert_eq!(a1.hits, 0);
         assert!(a1.misses > 0);
         let (second, a2) =
-            cached_shared_budgeted(&g, tjoin, false, 2, &shared, &Budget::unlimited()).unwrap();
+            optimal(&g, tjoin, false, 2, &unlimited, CacheRef::Shared(&shared)).unwrap();
         assert_eq!(second.deleted, plain.deleted);
         assert_eq!(a2.misses, 0);
         assert!(a2.hits > 0);
@@ -1277,23 +1242,23 @@ mod tests {
         }
         let gadget = TJoinMethod::Gadget(GadgetKind::default());
         let mut cache = SolveCache::with_capacity(64);
-        let first = bipartize_with_cache(&g, TJoinMethod::ShortestPath, false, 1, &mut cache);
+        let first = bipartize_cached(&g, TJoinMethod::ShortestPath, 1, &mut cache);
         assert_eq!(cache.misses, 2);
         // Same instances, different configured method: provenance
         // mismatch re-solves everything instead of serving the closure's
         // joins to a gadget-configured caller.
-        let second = bipartize_with_cache(&g, gadget, false, 1, &mut cache);
+        let second = bipartize_cached(&g, gadget, 1, &mut cache);
         assert_eq!(cache.hits, 0, "method mismatch must not hit");
         assert_eq!(cache.misses, 2);
         // The entries were overwritten with gadget provenance: replay hits.
-        let third = bipartize_with_cache(&g, gadget, false, 1, &mut cache);
+        let third = bipartize_cached(&g, gadget, 1, &mut cache);
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.misses, 0);
         // Auto resolves these sparse-T instances to the closure, so it
         // misses against the gadget-tagged entries, then hits itself.
-        let fourth = bipartize_with_cache(&g, TJoinMethod::Auto, false, 1, &mut cache);
+        let fourth = bipartize_cached(&g, TJoinMethod::Auto, 1, &mut cache);
         assert_eq!(cache.misses, 2);
-        let fifth = bipartize_with_cache(&g, TJoinMethod::Auto, false, 1, &mut cache);
+        let fifth = bipartize_cached(&g, TJoinMethod::Auto, 1, &mut cache);
         assert_eq!(cache.hits, 2);
         for out in [&second, &third, &fourth, &fifth] {
             assert_eq!(out.weight, first.weight);
@@ -1351,20 +1316,22 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..40));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-            let a = bipartize(
+            planarize(&mut g);
+            let a = bipartize_with(
                 &g,
                 BipartizeMethod::OptimalDual {
                     tjoin: TJoinMethod::default(),
                     blocks: false,
                 },
+                1,
             );
-            let b = bipartize(
+            let b = bipartize_with(
                 &g,
                 BipartizeMethod::OptimalDual {
                     tjoin: TJoinMethod::default(),
                     blocks: true,
                 },
+                1,
             );
             assert_eq!(a.weight, b.weight);
         }

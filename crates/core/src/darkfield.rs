@@ -12,9 +12,11 @@
 //! This module reuses the whole pipeline for that setting — the paper's
 //! lineage in ~100 lines, and a useful second consumer of the graph stack.
 
-use crate::{bipartize, BipartizeMethod};
+use crate::{bipartize_with, BipartizeMethod};
 use aapsm_geom::GridIndex;
-use aapsm_graph::{planarize, EmbeddedGraph, ParityUnionFind, PlanarizeOrder};
+use aapsm_graph::{
+    crossing_pairs_par, planarize_with_crossings, EmbeddedGraph, ParityUnionFind, PlanarizeOrder,
+};
 use aapsm_layout::{DesignRules, Layout};
 use aapsm_tjoin::TJoinMethod;
 
@@ -80,13 +82,16 @@ pub fn detect_dark_field(layout: &Layout, rules: &DesignRules) -> DarkFieldRepor
     let constraint_count = pairs.len();
 
     // Planarize + optimal bipartization + recheck, exactly as bright field.
-    let removed = planarize(&mut g, PlanarizeOrder::MinWeightFirst).removed;
-    let outcome = bipartize(
+    let crossings = crossing_pairs_par(&g, 1);
+    let removed =
+        planarize_with_crossings(&mut g, PlanarizeOrder::MinWeightFirst, &crossings).removed;
+    let outcome = bipartize_with(
         &g,
         BipartizeMethod::OptimalDual {
             tjoin: TJoinMethod::default(),
             blocks: false,
         },
+        1,
     );
     let mut conflicts = Vec::new();
     let deleted: std::collections::HashSet<_> = outcome.deleted.iter().copied().collect();

@@ -352,6 +352,7 @@ fn run_flow_inner(
     let mut last_geom: PhaseGeometry = engine.geometry().expect("detection ran").clone();
     let mut recorded_final = false;
     let mut budget_stopped = false;
+    // lint: allow(L1) — max_rounds rounds; each round's re-detect and cover charge the budget
     for _correction_round in 0..config.max_rounds.max(1) {
         let geometry = engine.geometry().expect("detection ran");
         let plan = plan_correction(geometry, &report.conflicts, rules, &correct_options);

@@ -1,7 +1,8 @@
 //! Conflict-graph construction: the paper's phase conflict graph and the
 //! prior-art feature graph, over one shared representation.
 
-use aapsm_graph::{crossing_pairs, planarize, EdgeId, EmbeddedGraph, PlanarizeOrder};
+use aapsm_fault::Budget;
+use aapsm_graph::{crossing_pairs_par, EdgeId, EmbeddedGraph};
 use aapsm_layout::PhaseGeometry;
 
 /// Which layout-to-graph reduction to use.
@@ -71,7 +72,7 @@ impl ConflictGraph {
         GraphStats {
             nodes: self.graph.node_count(),
             edges: self.graph.alive_edge_count(),
-            crossings: crossing_pairs(&self.graph).pairs.len(),
+            crossings: crossing_pairs_par(&self.graph, 1).pairs.len(),
         }
     }
 }
@@ -100,20 +101,14 @@ pub(crate) fn flank_weight_for(geom: &PhaseGeometry) -> i64 {
     ((sum as u64 + 1).next_power_of_two() as i64).max(FLANK_WEIGHT_FLOOR)
 }
 
-/// Builds the requested conflict graph.
-pub fn build_conflict_graph(geom: &PhaseGeometry, kind: GraphKind) -> ConflictGraph {
-    match kind {
-        GraphKind::PhaseConflict => build_phase_conflict_graph(geom),
-        GraphKind::Feature => build_feature_graph(geom),
-    }
-}
-
-/// [`build_conflict_graph`] with an explicit parallelism degree: when the
-/// resolved worker count is 1 (including `parallelism = 0` on a
-/// single-core machine) or the constraint set is tiny, the serial
-/// builders run directly — tiling buys nothing without a second worker or
-/// enough work to amortize thread spawn — otherwise the build routes
-/// through the tile-sharded pipeline
+/// Builds the requested conflict graph on up to `parallelism` workers
+/// (`0` = auto, `1` = serial, `k` = at most `k`).
+///
+/// With one worker (including auto parallelism on a single-core machine,
+/// or on fewer constraints than the [`aapsm_geom::workers_for`] fallback
+/// threshold) the serial builder runs directly — tiling buys nothing
+/// without a second worker or enough work to amortize thread spawn.
+/// Otherwise the build routes through the tile-sharded pipeline
 /// ([`crate::build_conflict_graph_tiled`]). Both paths produce
 /// bit-identical graphs.
 pub fn build_conflict_graph_par(
@@ -121,21 +116,22 @@ pub fn build_conflict_graph_par(
     kind: GraphKind,
     parallelism: usize,
 ) -> ConflictGraph {
-    /// Minimum constraints (overlaps + flanks) before auto parallelism
-    /// routes through tiling; mirrors the bipartize stage's serial
-    /// fallback. An explicit degree is honored.
-    const SERIAL_FALLBACK_CONSTRAINTS: usize = 2048;
     let constraints = geom.overlaps.len() + geom.critical_count();
-    if aapsm_geom::resolve_workers(parallelism) <= 1
-        || (parallelism == 0 && constraints < SERIAL_FALLBACK_CONSTRAINTS)
-    {
-        build_conflict_graph(geom, kind)
-    } else {
-        crate::shard::build_conflict_graph_tiled(
-            geom,
-            kind,
-            &crate::shard::TileConfig::for_parallelism(parallelism),
-        )
+    if aapsm_geom::workers_for(parallelism, constraints) <= 1 {
+        return build_conflict_graph(geom, kind);
+    }
+    let config = crate::shard::TileConfig::for_parallelism(parallelism);
+    match crate::shard::build_conflict_graph_tiled(geom, kind, &config, &Budget::unlimited()) {
+        Ok((cg, _)) => cg,
+        Err(_) => unreachable!("unlimited budget never trips"),
+    }
+}
+
+/// The serial builder of [`build_conflict_graph_par`].
+pub(crate) fn build_conflict_graph(geom: &PhaseGeometry, kind: GraphKind) -> ConflictGraph {
+    match kind {
+        GraphKind::PhaseConflict => build_phase_conflict_graph(geom),
+        GraphKind::Feature => build_feature_graph(geom),
     }
 }
 
@@ -248,22 +244,6 @@ pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
         edge_constraint,
         flank_weight,
     }
-}
-
-/// Planarizes a conflict graph in place (Step 1(b) of the flow), returning
-/// the removed edges — the potential conflict set *P*.
-pub fn planarize_graph(cg: &mut ConflictGraph, order: PlanarizeOrder) -> Vec<EdgeId> {
-    planarize(&mut cg.graph, order).removed
-}
-
-/// [`planarize_graph`] with an explicit parallelism degree for the
-/// initial crossing sweep; bit-identical at every degree.
-pub fn planarize_graph_par(
-    cg: &mut ConflictGraph,
-    order: PlanarizeOrder,
-    parallelism: usize,
-) -> Vec<EdgeId> {
-    aapsm_graph::planarize_par(&mut cg.graph, order, parallelism).removed
 }
 
 #[cfg(test)]
@@ -388,9 +368,15 @@ mod tests {
         for (name, geom) in geoms() {
             for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
                 let mut cg = build_conflict_graph(&geom, kind);
-                let removed = planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
+                let crossings = crossing_pairs_par(&cg.graph, 1);
+                let removed = aapsm_graph::planarize_with_crossings(
+                    &mut cg.graph,
+                    aapsm_graph::PlanarizeOrder::MinWeightFirst,
+                    &crossings,
+                )
+                .removed;
                 assert!(
-                    crossing_pairs(&cg.graph).is_planar(),
+                    crossing_pairs_par(&cg.graph, 1).is_planar(),
                     "{name} {kind:?} still has crossings"
                 );
                 for e in removed {

@@ -8,10 +8,10 @@
 //!    between merged shifters, and one direct edge per critical feature.
 //!    Bipartite ⇔ phase-assignable (Theorem 1). The prior-art **feature
 //!    graph** ([`build_feature_graph`]) is provided as the FG baseline.
-//! 2. **Planarization** ([`planarize_graph`]): greedy removal of
-//!    minimum-weight crossing edges; removed edges form the potential
-//!    conflict set *P*.
-//! 3. **Optimal bipartization** ([`bipartize`]): per component, trace the
+//! 2. **Planarization** ([`aapsm_graph::planarize_with_crossings`]):
+//!    greedy removal of minimum-weight crossing edges; removed edges form
+//!    the potential conflict set *P*.
+//! 3. **Optimal bipartization** ([`bipartize_with`]): per component, trace the
 //!    faces of the plane drawing, build the geometric dual, solve the
 //!    minimum-weight T-join with T = odd faces through the pluggable
 //!    gadget/matching machinery of [`aapsm_tjoin`].
@@ -123,8 +123,8 @@ mod redetect;
 mod shard;
 
 pub use bipartize::{
-    bipartize, bipartize_with, bipartize_with_cache, brute_force_bipartize, tjoin_method_census,
-    BipartizeMethod, BipartizeOutcome, CacheStats, MethodCensus, SharedSolveCache, SolveCache,
+    bipartize_with, brute_force_bipartize, tjoin_method_census, BipartizeMethod, BipartizeOutcome,
+    CacheStats, MethodCensus, SharedSolveCache, SolveCache,
 };
 pub use correct::{
     apply_correction, plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport,
@@ -137,16 +137,12 @@ pub use flow::{
     run_flow, FlowConfig, FlowError, FlowResult, FlowRound, RoundProvenance, StageProvenance,
 };
 pub use graphs::{
-    build_conflict_graph, build_conflict_graph_par, build_feature_graph,
-    build_phase_conflict_graph, planarize_graph, planarize_graph_par, ConflictGraph, GraphKind,
-    GraphStats,
+    build_conflict_graph_par, build_feature_graph, build_phase_conflict_graph, ConflictGraph,
+    GraphKind, GraphStats,
 };
 pub use hier::{detect_hier, HierDetectReport, HierDetectStats};
 pub use redetect::{RedetectEngine, RedetectStats};
-pub use shard::{
-    build_conflict_graph_tiled, build_conflict_graph_tiled_stateful,
-    build_conflict_graph_tiled_stateful_budgeted, TileBuildState, TileConfig, TileReuse,
-};
+pub use shard::{build_conflict_graph_tiled, TileBuildState, TileConfig, TileReuse};
 
 pub use aapsm_fault::{
     Budget, BudgetExceeded, BudgetSpec, CancelToken, ExhaustReason, Stage as BudgetStage,

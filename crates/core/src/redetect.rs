@@ -46,7 +46,7 @@
 use crate::bipartize::{CacheActivity, CacheRef};
 use crate::detect::finish_pipeline;
 use crate::flow::StageProvenance;
-use crate::shard::{build_conflict_graph_tiled_stateful_budgeted, TileBuildState, TileConfig};
+use crate::shard::{build_conflict_graph_tiled, TileBuildState, TileConfig};
 use crate::{ConflictGraph, DetectConfig, DetectReport, GraphKind, SharedSolveCache, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_graph::{crossing_pairs_incremental, crossing_pairs_par, CrossingSet, EdgeId};
@@ -336,7 +336,7 @@ impl RedetectEngine {
             tiles: self.tile_count,
             parallelism: self.config.parallelism,
         };
-        let (mut cg, tiles) = build_conflict_graph_tiled_stateful_budgeted(
+        let (mut cg, tiles) = build_conflict_graph_tiled(
             extract.geometry(),
             self.config.graph,
             &tile_cfg,

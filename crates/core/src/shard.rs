@@ -32,7 +32,8 @@
 //!    into their canonical global edge slots and emits nodes and edges in
 //!    exactly the serial order. The stitched graph — node ids, positions,
 //!    edge ids, endpoint orientation, weights, constraints, adjacency —
-//!    is **bit-identical** to [`crate::build_conflict_graph`] for every
+//!    is **bit-identical** to the serial build
+//!    ([`crate::build_conflict_graph_par`] at one worker) for every
 //!    tile count and parallelism degree (property-tested in
 //!    `tests/parallel_equivalence.rs`).
 //!
@@ -316,6 +317,7 @@ fn build_tile(
     let center = |si: usize| geom.shifters[si].rect.center();
     match kind {
         GraphKind::PhaseConflict => {
+            // lint: allow(L1) — every owned constraint was charged up front
             for &oi in owned_overlaps {
                 let o = &geom.overlaps[oi as usize];
                 let (ca, cb) = (center(o.a), center(o.b));
@@ -326,6 +328,7 @@ fn build_tile(
                 tg.push_edge(la, ln, o.weight, c, 2 * oi);
                 tg.push_edge(ln, lb, o.weight, c, 2 * oi + 1);
             }
+            // lint: allow(L1) — every owned constraint was charged up front
             for &fi in owned_features {
                 let (lo, hi) = geom.features[fi as usize]
                     .shifters
@@ -343,6 +346,7 @@ fn build_tile(
             }
         }
         GraphKind::Feature => {
+            // lint: allow(L1) — every owned constraint was charged up front
             for &fi in owned_features {
                 let f = &geom.features[fi as usize];
                 let (lo, hi) = f.shifters.expect("owned features are critical");
@@ -354,6 +358,7 @@ fn build_tile(
                 tg.push_edge(la, lf, flank_weight, c, 2 * rank);
                 tg.push_edge(lf, lb, flank_weight, c, 2 * rank + 1);
             }
+            // lint: allow(L1) — every owned constraint was charged up front
             for &oi in owned_overlaps {
                 let o = &geom.overlaps[oi as usize];
                 let (sa, sb) = (&geom.shifters[o.a], &geom.shifters[o.b]);
@@ -426,18 +431,6 @@ fn stitch<'a>(
         edge_constraint,
         flank_weight,
     }
-}
-
-/// Builds a conflict graph by the tile-sharded pipeline. The result is
-/// bit-identical to [`crate::build_conflict_graph`] for every
-/// [`TileConfig`]; see the module docs for the invariants that make the
-/// stitch exact.
-pub fn build_conflict_graph_tiled(
-    geom: &PhaseGeometry,
-    kind: GraphKind,
-    config: &TileConfig,
-) -> ConflictGraph {
-    build_conflict_graph_tiled_stateful(geom, kind, config).0
 }
 
 /// One owned group of the tile decomposition, with its built slice and
@@ -514,27 +507,18 @@ fn rect_tuple(r: Rect) -> (i64, i64, i64, i64) {
     (r.x_lo(), r.y_lo(), r.x_hi(), r.y_hi())
 }
 
-/// [`build_conflict_graph_tiled`], additionally retaining the tile
-/// decomposition for incremental rebuilds.
-pub fn build_conflict_graph_tiled_stateful(
-    geom: &PhaseGeometry,
-    kind: GraphKind,
-    config: &TileConfig,
-) -> (ConflictGraph, TileBuildState) {
-    match build_conflict_graph_tiled_stateful_budgeted(geom, kind, config, &Budget::unlimited()) {
-        Ok(out) => out,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    }
-}
-
-/// [`build_conflict_graph_tiled_stateful`] under a [`Budget`]: one
-/// [`Stage::GraphBuild`] tick is charged per constraint.
+/// Builds a conflict graph by the tile-sharded pipeline and retains the
+/// tile decomposition for incremental rebuilds. The graph is
+/// bit-identical to the serial build ([`crate::build_conflict_graph_par`]
+/// at one worker) for every [`TileConfig`]; see the module docs for the
+/// invariants that make the stitch exact. One [`Stage::GraphBuild`] tick
+/// is charged per constraint.
 ///
 /// # Errors
 ///
 /// [`BudgetExceeded`] when the budget trips mid-build; the partial build
 /// is discarded (a conflict graph has no cheaper degraded form).
-pub fn build_conflict_graph_tiled_stateful_budgeted(
+pub fn build_conflict_graph_tiled(
     geom: &PhaseGeometry,
     kind: GraphKind,
     config: &TileConfig,
@@ -635,7 +619,7 @@ impl TileBuildState {
     /// recomputing only groups whose core+halo box touched a dirty
     /// region or received a constraint the cuts created, and translating
     /// plus index-remapping every other group's slice. The stitched
-    /// graph is bit-identical to [`crate::build_conflict_graph`] on
+    /// graph is bit-identical to [`crate::build_conflict_graph_par`] on
     /// `geom`; the state is updated in place for the next round.
     ///
     /// `overlap_map` / `overlap_preimage` are the index mappings of the
@@ -667,6 +651,7 @@ impl TileBuildState {
         // ---- Route the cut-created overlaps to their anchor's group
         // and decide which groups survive as rigid translations. ----
         let mut appended: Vec<Vec<u32>> = vec![Vec::new(); self.groups.len()];
+        // lint: allow(L1) — linear routing; rebuilt groups charge their constraints
         for (new_oi, pre) in overlap_preimage.iter().enumerate() {
             if pre.is_none() {
                 let t = tiling.tile_of(overlap_anchor(geom, &geom.overlaps[new_oi]));
@@ -763,6 +748,7 @@ impl TileBuildState {
             flank_weight,
             rebuilt.iter().map(|g| &g.graph),
         );
+        // lint: allow(L1) — one move per group, after the charged rebuild
         for (t, g) in work.into_iter().zip(rebuilt) {
             self.groups[t] = g;
         }
@@ -781,8 +767,7 @@ impl TileBuildState {
             tiles: self.tiling.as_ref().map_or(0, |t| t.k as usize),
             parallelism,
         };
-        let (cg, state) =
-            build_conflict_graph_tiled_stateful_budgeted(geom, self.kind, &config, budget)?;
+        let (cg, state) = build_conflict_graph_tiled(geom, self.kind, &config, budget)?;
         let rebuilt = state.groups.iter().filter(|g| !g.is_empty()).count();
         *self = state;
         Ok((cg, TileReuse { reused: 0, rebuilt }))
@@ -890,7 +875,7 @@ pub(crate) fn build_conflict_graph_with_flank(
 /// feature `f` (and every constraint anchored on it: its flank edge, and
 /// any overlap whose `a` shifter it owns) to a group in
 /// `0..group_count`. By invariant 5 the stitched result is bit-identical
-/// to [`crate::build_conflict_graph`] for **every** grouping.
+/// to [`crate::build_conflict_graph_par`] for **every** grouping.
 pub(crate) fn build_conflict_graph_grouped(
     geom: &PhaseGeometry,
     kind: GraphKind,
@@ -944,6 +929,12 @@ mod tests {
     use crate::graphs::build_conflict_graph;
     use aapsm_layout::{extract_phase_geometry, fixtures, DesignRules};
 
+    fn tiled(geom: &PhaseGeometry, kind: GraphKind, config: &TileConfig) -> ConflictGraph {
+        build_conflict_graph_tiled(geom, kind, config, &Budget::unlimited())
+            .expect("unlimited budget")
+            .0
+    }
+
     fn geoms() -> Vec<PhaseGeometry> {
         let r = DesignRules::default();
         let mut out = vec![
@@ -975,7 +966,7 @@ mod tests {
                 for tiles in [1usize, 2, 3, 7] {
                     for parallelism in [1usize, 0, 4] {
                         let cfg = TileConfig { tiles, parallelism };
-                        let tiled = build_conflict_graph_tiled(geom, kind, &cfg);
+                        let tiled = tiled(geom, kind, &cfg);
                         assert_eq!(
                             tiled, serial,
                             "geom {gi} {kind:?} tiles {tiles} parallelism {parallelism}"
@@ -990,7 +981,7 @@ mod tests {
     fn empty_geometry_falls_back() {
         let geom = PhaseGeometry::default();
         let cfg = TileConfig::for_parallelism(4);
-        let cg = build_conflict_graph_tiled(&geom, GraphKind::PhaseConflict, &cfg);
+        let cg = tiled(&geom, GraphKind::PhaseConflict, &cfg);
         assert_eq!(cg.graph.node_count(), 0);
         assert_eq!(cg.graph.edge_count(), 0);
     }

@@ -147,6 +147,51 @@ fn transient_panic_heals_to_bit_identical_result() {
     }
 }
 
+/// An armed plan belongs to the thread that armed it (and the workers it
+/// hands it to): an unarmed flow on another thread, racing a flow whose
+/// plan panics at every tile build, stays bit-identical to its baseline.
+#[test]
+fn armed_plan_does_not_leak_into_a_concurrent_unarmed_flow() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    let rules = DesignRules::default();
+    let layout = fixtures::strap_under_bus(5, &rules);
+    for parallelism in [1, 2] {
+        let baseline = run_flow(&layout, &rules, &config(parallelism)).unwrap();
+        let armed = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let unarmed: Vec<_> = std::thread::scope(|s| {
+            s.spawn(|| {
+                let plan = FaultPlan {
+                    panic_always: Some(FaultSite::TileBuild),
+                    ..FaultPlan::default()
+                };
+                with_plan(plan, || {
+                    armed.wait();
+                    // Keep the plan armed and firing until the unarmed
+                    // flows below have finished.
+                    while !done.load(Ordering::Acquire) {
+                        let res = run_flow(&layout, &rules, &config(parallelism));
+                        assert!(matches!(res, Err(FlowError::WorkerPanic(_))));
+                    }
+                });
+            });
+            armed.wait();
+            // `run_flow` turns panics into errors, so `done` is always set.
+            let results = (0..3)
+                .map(|_| run_flow(&layout, &rules, &config(parallelism)))
+                .collect();
+            done.store(true, Ordering::Release);
+            results
+        });
+        for (run, res) in unarmed.iter().enumerate() {
+            let context = format!("parallelism {parallelism}, unarmed run {run}");
+            let res = res.as_ref().unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_same(res, &baseline, &context);
+        }
+    }
+}
+
 #[test]
 fn persistent_panic_surfaces_as_structured_error() {
     let rules = DesignRules::default();

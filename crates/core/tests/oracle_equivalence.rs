@@ -23,8 +23,8 @@
 
 use aapsm_core::{bipartize_with, BipartizeMethod, GadgetKind, TJoinMethod};
 use aapsm_graph::{
-    build_dual, planarize, trace_faces, two_color_excluding, EdgeId, EmbeddedGraph,
-    ParityUnionFind, PlanarizeOrder,
+    build_dual, crossing_pairs_par, planarize_with_crossings, trace_faces, two_color_excluding,
+    EdgeId, EmbeddedGraph, ParityUnionFind, PlanarizeOrder,
 };
 use aapsm_matching::exhaustive;
 use aapsm_tjoin::{brute::solve_brute, TJoinInstance};
@@ -53,7 +53,8 @@ fn small_plane_graph() -> impl Strategy<Value = EmbeddedGraph> {
                     g.add_edge(nodes[u], nodes[v], w);
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            let crossings = crossing_pairs_par(&g, 1);
+            planarize_with_crossings(&mut g, PlanarizeOrder::MinWeightFirst, &crossings);
             g
         })
 }
@@ -94,8 +95,8 @@ fn oracle_cover_weight(g: &EmbeddedGraph) -> i64 {
 /// (T = odd faces, bridges excluded), plus the primal weight of an empty
 /// dual: `None` when the graph is already bipartite everywhere.
 fn dual_instance(g: &EmbeddedGraph) -> Option<TJoinInstance> {
-    let faces = trace_faces(g);
-    let dual = build_dual(g, &faces);
+    let faces = trace_faces(g, 1);
+    let dual = build_dual(g, &faces, 1);
     if dual.t_set().is_empty() {
         return None;
     }

@@ -6,25 +6,38 @@
 //! * the sharded crossing sweep (`crossing_pairs_par`),
 //! * the sharded merge-constraint scan (`extract_phase_geometry_par`),
 //! * the tile-sharded conflict-graph build (`build_conflict_graph_tiled`),
-//! * the crossing sweep feeding planarization (`planarize_graph_par`),
+//! * the planarization fed by that sweep (`planarize_with_crossings`),
+//! * the per-component face trace and dual build (`trace_faces`,
+//!   `build_dual`),
 //! * the decompose-then-solve bipartization (`bipartize_with`), both
 //!   decomposition modes and every T-join engine,
 //! * and the end-to-end `detect_conflicts` report.
 
 use aapsm_core::{
-    bipartize_with, build_conflict_graph, build_conflict_graph_tiled, detect_conflicts,
-    planarize_graph, planarize_graph_par, BipartizeMethod, DetectConfig, GadgetKind, GraphKind,
-    TJoinMethod, TileConfig,
+    bipartize_with, build_conflict_graph_par, build_conflict_graph_tiled, detect_conflicts,
+    BipartizeMethod, Budget, ConflictGraph, DetectConfig, GadgetKind, GraphKind, TJoinMethod,
+    TileConfig,
 };
 use aapsm_graph::{
-    build_dual, build_dual_par, crossing_pairs, crossing_pairs_par, trace_faces, trace_faces_par,
-    EmbeddedGraph, PlanarizeOrder,
+    build_dual, crossing_pairs_par, planarize_with_crossings, trace_faces, EdgeId, EmbeddedGraph,
+    PlanarizeOrder,
 };
 use aapsm_layout::synth::{generate, SynthParams};
 use aapsm_layout::{extract_phase_geometry, extract_phase_geometry_par, DesignRules, Layout};
 use proptest::prelude::*;
 
 const DEGREES: [usize; 4] = [0, 2, 4, 8];
+
+/// The serial conflict-graph build (one worker).
+fn build_serial(geom: &aapsm_layout::PhaseGeometry, kind: GraphKind) -> ConflictGraph {
+    build_conflict_graph_par(geom, kind, 1)
+}
+
+/// Planarizes `cg` with the crossing sweep on `parallelism` workers.
+fn planarize(cg: &mut ConflictGraph, parallelism: usize) -> Vec<EdgeId> {
+    let crossings = crossing_pairs_par(&cg.graph, parallelism);
+    planarize_with_crossings(&mut cg.graph, PlanarizeOrder::MinWeightFirst, &crossings).removed
+}
 
 /// A random conflict-rich synthetic layout.
 fn synth_layout() -> impl Strategy<Value = Layout> {
@@ -49,8 +62,8 @@ fn planarized_pcg() -> impl Strategy<Value = EmbeddedGraph> {
     synth_layout().prop_map(|layout| {
         let rules = DesignRules::default();
         let geom = extract_phase_geometry(&layout, &rules);
-        let mut cg = build_conflict_graph(&geom, GraphKind::PhaseConflict);
-        planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
+        let mut cg = build_serial(&geom, GraphKind::PhaseConflict);
+        planarize(&mut cg, 1);
         cg.graph
     })
 }
@@ -81,20 +94,20 @@ fn face_dual_parallel_matches_serial_on_fixtures() {
     ] {
         let geom = extract_phase_geometry(&layout, &rules);
         for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
-            let mut cg = build_conflict_graph(&geom, kind);
-            planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
-            let serial = trace_faces(&cg.graph);
+            let mut cg = build_serial(&geom, kind);
+            planarize(&mut cg, 1);
+            let serial = trace_faces(&cg.graph, 1);
             serial
                 .validate(&cg.graph)
                 .unwrap_or_else(|e| panic!("{name}/{kind:?}: serial trace invalid: {e}"));
-            let dual_serial = build_dual(&cg.graph, &serial);
+            let dual_serial = build_dual(&cg.graph, &serial, 1);
             for parallelism in DEGREES {
-                let par = trace_faces_par(&cg.graph, parallelism);
+                let par = trace_faces(&cg.graph, parallelism);
                 assert_eq!(
                     par, serial,
                     "{name}/{kind:?}: trace diverged at {parallelism}"
                 );
-                let dual_par = build_dual_par(&cg.graph, &par, parallelism);
+                let dual_par = build_dual(&cg.graph, &par, parallelism);
                 assert_eq!(
                     dual_par, dual_serial,
                     "{name}/{kind:?}: dual diverged at {parallelism}"
@@ -153,8 +166,8 @@ proptest! {
         let rules = DesignRules::default();
         let geom = extract_phase_geometry(&layout, &rules);
         for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
-            let cg = build_conflict_graph(&geom, kind);
-            let serial = crossing_pairs(&cg.graph);
+            let cg = build_serial(&geom, kind);
+            let serial = crossing_pairs_par(&cg.graph, 1);
             for parallelism in DEGREES {
                 prop_assert_eq!(
                     &crossing_pairs_par(&cg.graph, parallelism),
@@ -165,11 +178,10 @@ proptest! {
                 );
             }
             let mut serial_cg = cg.clone();
-            let serial_removed = planarize_graph(&mut serial_cg, PlanarizeOrder::MinWeightFirst);
+            let serial_removed = planarize(&mut serial_cg, 1);
             for parallelism in DEGREES {
                 let mut par_cg = cg.clone();
-                let par_removed =
-                    planarize_graph_par(&mut par_cg, PlanarizeOrder::MinWeightFirst, parallelism);
+                let par_removed = planarize(&mut par_cg, parallelism);
                 prop_assert_eq!(&par_removed, &serial_removed);
                 prop_assert_eq!(&par_cg, &serial_cg);
             }
@@ -184,11 +196,13 @@ proptest! {
         let rules = DesignRules::default();
         let geom = extract_phase_geometry(&layout, &rules);
         for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
-            let serial = build_conflict_graph(&geom, kind);
+            let serial = build_serial(&geom, kind);
             for tiles in [0usize, 1, 3, 6] {
                 for parallelism in DEGREES {
                     let cfg = TileConfig { tiles, parallelism };
-                    let tiled = build_conflict_graph_tiled(&geom, kind, &cfg);
+                    let (tiled, _) =
+                        build_conflict_graph_tiled(&geom, kind, &cfg, &Budget::unlimited())
+                            .expect("unlimited budget");
                     prop_assert_eq!(
                         &tiled,
                         &serial,

@@ -28,12 +28,13 @@
 //! The [`FaultPlan`] hooks exist **only in debug builds** (release
 //! compiles them to nothing — [`enabled`] is a `const fn` on
 //! `cfg!(debug_assertions)`, asserted zero-cost by the benchmark
-//! harness). A test installs a plan with [`with_plan`] — globally
-//! serialized, so concurrent tests cannot contaminate each other's
-//! counters — and the instrumented sites ([`hit`] at tile builds, face
-//! traces, cover components; forced exhaustion inside
-//! [`Budget::charge`]/[`Budget::check`]; a byte flip in the GDS reader)
-//! fire deterministically at the planned occurrence. The property the
+//! harness). A test installs a plan with [`with_plan`]. The plan is armed
+//! on the calling thread only, so concurrent tests never see each
+//! other's plans or counters; the workspace's worker pools hand it to
+//! their workers through [`ArmedPlan`]. The instrumented sites ([`hit`]
+//! at tile builds, face traces, cover components; forced exhaustion
+//! inside [`Budget::charge`]/[`Budget::check`]; a byte flip in the GDS
+//! reader) fire deterministically at the planned occurrence. The property the
 //! whole workspace tests against these hooks: *every injected fault
 //! yields either a bit-identical complete result or a truthfully flagged
 //! degraded/error result — never a silently wrong one.*
@@ -386,7 +387,7 @@ pub const fn enabled() -> bool {
 #[cfg(debug_assertions)]
 mod active {
     use super::*;
-    use std::sync::Mutex;
+    use std::cell::RefCell;
 
     pub(super) struct ActivePlan {
         pub(super) plan: FaultPlan,
@@ -394,47 +395,87 @@ mod active {
         pub(super) charges: AtomicU64,
     }
 
-    /// The installed plan; hooks read it, [`with_plan`] swaps it.
-    pub(super) static PLAN: Mutex<Option<Arc<ActivePlan>>> = Mutex::new(None);
-    /// Serializes whole [`with_plan`] scopes against each other.
-    pub(super) static SCOPE: Mutex<()> = Mutex::new(());
+    thread_local! {
+        /// The plan armed on this thread; hooks read it, [`with_plan`] and
+        /// [`ArmedPlan::run`] swap it.
+        static PLAN: RefCell<Option<Arc<ActivePlan>>> = const { RefCell::new(None) };
+    }
 
     pub(super) fn current() -> Option<Arc<ActivePlan>> {
-        PLAN.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(Arc::clone)
+        PLAN.with(|p| p.borrow().clone())
+    }
+
+    /// Runs `f` with `plan` armed on this thread, then restores the
+    /// previous plan (even if `f` panics).
+    pub(super) fn scoped<R>(plan: Option<Arc<ActivePlan>>, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Arc<ActivePlan>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let previous = self.0.take();
+                PLAN.with(|p| *p.borrow_mut() = previous);
+            }
+        }
+        let _restore = Restore(PLAN.with(|p| p.replace(plan)));
+        f()
     }
 }
 
-/// Runs `f` with `plan` armed, then disarms it (even if `f` panics).
+/// Runs `f` with `plan` armed on the calling thread, then disarms it (even
+/// if `f` panics).
 ///
-/// Scopes are globally serialized: concurrent tests queue here instead of
-/// contaminating each other's occurrence counters. In release builds the
-/// plan is ignored and `f` runs directly.
+/// The plan is thread-local: other threads, including concurrent tests,
+/// never see it. Work that `f` hands to worker threads runs under the
+/// plan only when the pool passes it on through [`ArmedPlan`], which
+/// `aapsm_geom::par_map_indexed` and the service worker pool do; their
+/// workers then share the plan's occurrence counters. In release builds
+/// the plan is ignored and `f` runs directly.
 pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
     #[cfg(debug_assertions)]
     {
-        let _scope = active::SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                *active::PLAN.lock().unwrap_or_else(|e| e.into_inner()) = None;
-            }
-        }
-        let _disarm = Disarm;
-        *active::PLAN.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(Arc::new(active::ActivePlan {
-                plan,
-                site_hits: Default::default(),
-                charges: AtomicU64::new(0),
-            }));
-        f()
+        let active = Arc::new(active::ActivePlan {
+            plan,
+            site_hits: Default::default(),
+            charges: AtomicU64::new(0),
+        });
+        active::scoped(Some(active), f)
     }
     #[cfg(not(debug_assertions))]
     {
         let _ = plan;
         f()
+    }
+}
+
+/// The fault plan armed on a thread, captured so a worker thread can run
+/// under it: [`ArmedPlan::current`] on the submitting thread,
+/// [`ArmedPlan::run`] on the worker. Zero-sized and inert in release
+/// builds.
+#[derive(Clone)]
+pub struct ArmedPlan {
+    #[cfg(debug_assertions)]
+    active: Option<Arc<active::ActivePlan>>,
+}
+
+impl ArmedPlan {
+    /// The plan armed on the calling thread (none outside [`with_plan`]).
+    pub fn current() -> ArmedPlan {
+        ArmedPlan {
+            #[cfg(debug_assertions)]
+            active: active::current(),
+        }
+    }
+
+    /// Runs `f` on the calling thread with this plan armed, then restores
+    /// the thread's previous plan.
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        #[cfg(debug_assertions)]
+        {
+            active::scoped(self.active.clone(), f)
+        }
+        #[cfg(not(debug_assertions))]
+        {
+            f()
+        }
     }
 }
 
@@ -631,6 +672,47 @@ mod tests {
             assert!(caught.is_err(), "occurrence 1 must panic");
         });
         hit(FaultSite::TileBuild); // disarmed: no-op
+    }
+
+    #[test]
+    fn plans_are_thread_local_and_hand_off_explicitly() {
+        let plan = FaultPlan {
+            panic_always: Some(FaultSite::TileBuild),
+            ..Default::default()
+        };
+        with_plan(plan, || {
+            // Another thread does not see the plan...
+            std::thread::scope(|s| {
+                s.spawn(|| hit(FaultSite::TileBuild)).join().unwrap();
+            });
+            // ...unless it runs under the handed-off plan.
+            let armed = ArmedPlan::current();
+            let caught = std::thread::scope(|s| {
+                s.spawn(|| std::panic::catch_unwind(|| armed.run(|| hit(FaultSite::TileBuild))))
+                    .join()
+                    .unwrap()
+            });
+            assert!(caught.is_err(), "handed-off plan must fire");
+        });
+        // Disarmed again, and an empty hand-off arms nothing.
+        ArmedPlan::current().run(|| hit(FaultSite::TileBuild));
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_plan() {
+        let outer = FaultPlan {
+            corrupt_gds: Some(1),
+            ..Default::default()
+        };
+        let inner = FaultPlan {
+            corrupt_gds: Some(2),
+            ..Default::default()
+        };
+        with_plan(outer, || {
+            with_plan(inner, || assert_eq!(gds_corrupt_offset(10), Some(2)));
+            assert_eq!(gds_corrupt_offset(10), Some(1));
+        });
+        assert_eq!(gds_corrupt_offset(10), None);
     }
 
     #[test]

@@ -81,6 +81,24 @@ pub fn resolve_workers(parallelism: usize) -> usize {
     }
 }
 
+/// Units of work below which auto parallelism stays on the calling thread.
+const SERIAL_FALLBACK_WORK: usize = 2048;
+
+/// The one serial-fallback policy of every parallel stage: the worker
+/// count [`resolve_workers`] gives, except that auto parallelism
+/// (`parallelism = 0`) runs fewer than 2048 units of `work` on the
+/// calling thread, where thread spawn/join would cost more than the work.
+/// A stage counts work in its natural unit (indexed items, constraints,
+/// graph edges, dual edges). An explicit degree is always honored, and
+/// the choice is purely one of scheduling: results are bit-identical.
+pub fn workers_for(parallelism: usize, work: usize) -> usize {
+    if parallelism == 0 && work < SERIAL_FALLBACK_WORK {
+        1
+    } else {
+        resolve_workers(parallelism)
+    }
+}
+
 /// Maps `f` over `0..count` on at most `workers` scoped threads and
 /// returns the results **in index order** — the shared worker-pool
 /// scaffold of every parallel stage in this workspace.
@@ -157,26 +175,31 @@ where
     }
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    // Workers run under the caller's fault plan (debug builds), which is
+    // thread-local and would otherwise stay behind on this thread.
+    let plan = aapsm_fault::ArmedPlan::current();
     let batches: Vec<Vec<(usize, Option<T>)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.min(count))
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
-                    let mut batch = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        match attempt(&mut state, i) {
-                            Ok(out) => batch.push((i, Some(out))),
-                            Err(_) => {
-                                batch.push((i, None));
-                                state = init();
+                    plan.run(|| {
+                        let mut state = init();
+                        let mut batch = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if i >= count {
+                                break;
+                            }
+                            match attempt(&mut state, i) {
+                                Ok(out) => batch.push((i, Some(out))),
+                                Err(_) => {
+                                    batch.push((i, None));
+                                    state = init();
+                                }
                             }
                         }
-                    }
-                    batch
+                        batch
+                    })
                 })
             })
             .collect();
@@ -467,22 +490,15 @@ impl GridIndex {
     /// Shards are handed to workers through an atomic cursor
     /// (self-balancing); each worker buffers its `(shard, results)` pairs
     /// locally and the buffers are stitched by shard index afterwards.
+    /// Auto parallelism falls back to serial per [`workers_for`], with
+    /// indexed items as the unit of work.
     pub fn par_collect_pairs<T, F>(&self, parallelism: usize, map: F) -> Vec<T>
     where
         T: Send,
         F: Fn(u32, u32) -> Option<T> + Sync,
     {
-        /// Minimum indexed items before auto parallelism spawns threads:
-        /// below this the whole sweep takes well under a millisecond and
-        /// thread spawn/join overhead dominates. Applies only to
-        /// `parallelism = 0` — an explicit degree is honored — and is
-        /// purely a scheduling decision: results are bit-identical.
-        const SERIAL_FALLBACK_ITEMS: usize = 2048;
-        let workers = resolve_workers(parallelism);
-        if workers <= 1
-            || self.cells.len() <= 1
-            || (parallelism == 0 && self.len() < SERIAL_FALLBACK_ITEMS)
-        {
+        let workers = workers_for(parallelism, self.len());
+        if workers <= 1 || self.cells.len() <= 1 {
             let mut out = Vec::new();
             self.for_each_candidate_pair(|a, b| out.extend(map(a, b)));
             return out;

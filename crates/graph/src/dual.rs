@@ -1,4 +1,4 @@
-use crate::{EdgeId, EmbeddedGraph, Faces};
+use crate::EdgeId;
 
 /// One edge of the geometric dual: it crosses a primal edge and connects
 /// the two faces on its sides.
@@ -57,39 +57,9 @@ impl DualGraph {
     }
 }
 
-/// Builds the geometric dual of the alive subgraph's plane drawing.
-///
-/// `faces` must come from [`crate::trace_faces`] on the same graph state.
-pub fn build_dual(g: &EmbeddedGraph, faces: &Faces) -> DualGraph {
-    let mut edges = Vec::new();
-    let mut bridges = Vec::new();
-    for e in g.alive_edges() {
-        let a = faces.left_face(e);
-        let b = faces.right_face(e);
-        if a == b {
-            bridges.push(e);
-        } else {
-            edges.push(DualEdge {
-                primal: e,
-                a,
-                b,
-                weight: g.weight(e),
-            });
-        }
-    }
-    let odd_face = (0..faces.count as u32).map(|f| faces.is_odd(f)).collect();
-    DualGraph {
-        face_count: faces.count,
-        edges,
-        bridges,
-        odd_face,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::trace_faces;
+    use crate::{build_dual, trace_faces, EmbeddedGraph};
     use aapsm_geom::Point;
 
     fn p(x: i64, y: i64) -> Point {
@@ -105,8 +75,8 @@ mod tests {
         g.add_edge(a, b, 3);
         g.add_edge(b, c, 5);
         g.add_edge(c, a, 7);
-        let f = trace_faces(&g);
-        let d = build_dual(&g, &f);
+        let f = trace_faces(&g, 1);
+        let d = build_dual(&g, &f, 1);
         assert_eq!(d.face_count, 2);
         assert_eq!(d.edges.len(), 3);
         assert!(d.bridges.is_empty());
@@ -130,8 +100,8 @@ mod tests {
         g.add_edge(b, c, 1);
         g.add_edge(c, a, 1);
         let pendant = g.add_edge(b, d, 1);
-        let f = trace_faces(&g);
-        let dual = build_dual(&g, &f);
+        let f = trace_faces(&g, 1);
+        let dual = build_dual(&g, &f, 1);
         assert_eq!(dual.bridges, vec![pendant]);
         assert_eq!(dual.edges.len(), 3);
         // Outer face walk: a-b, b-d, d-b, b-c... length 5 -> odd; inner
@@ -161,9 +131,9 @@ mod tests {
         g.add_edge(d, e, 1);
         g.add_edge(e, f, 1);
         g.add_edge(f, d, 1);
-        let faces = trace_faces(&g);
+        let faces = trace_faces(&g, 1);
         faces.validate(&g).expect("plane drawing");
-        let dual = build_dual(&g, &faces);
+        let dual = build_dual(&g, &faces, 1);
         assert_eq!(dual.bridges, vec![p1, p2, p3]);
         assert_eq!(dual.edges.len(), 6);
         // One component: V=8, E=9, F=3 (two triangle interiors + outer).
@@ -195,8 +165,8 @@ mod tests {
         let x = g.add_node(p(10_000, 0));
         let y = g.add_node(p(10_100, 0));
         let lone = g.add_edge(x, y, 1);
-        let faces = trace_faces(&g);
-        let dual = build_dual(&g, &faces);
+        let faces = trace_faces(&g, 1);
+        let dual = build_dual(&g, &faces, 1);
         assert_eq!(dual.face_count, 5);
         assert_eq!(dual.edges.len(), 7);
         assert_eq!(dual.bridges, vec![lone]);
@@ -230,9 +200,9 @@ mod tests {
         g.add_edge(hub, t1, 1);
         g.add_edge(t1, t2, 1);
         g.add_edge(t2, hub, 1);
-        let faces = trace_faces(&g);
+        let faces = trace_faces(&g, 1);
         faces.validate(&g).expect("plane drawing");
-        let dual = build_dual(&g, &faces);
+        let dual = build_dual(&g, &faces, 1);
         for de in &dual.edges {
             assert_ne!(de.a, de.b, "dual self-loop leaked for {de:?}");
         }
@@ -242,8 +212,8 @@ mod tests {
         for e in dual.bridges.clone() {
             g.kill_edge(e);
         }
-        let faces = trace_faces(&g);
-        let dual = build_dual(&g, &faces);
+        let faces = trace_faces(&g, 1);
+        let dual = build_dual(&g, &faces, 1);
         assert!(dual.bridges.is_empty());
         assert_eq!(dual.edges.len(), 3);
     }
@@ -260,8 +230,8 @@ mod tests {
             g.add_edge(n[i], n[(i + 1) % 4], 1);
         }
         g.add_edge(n[0], n[2], 1); // chord
-        let f = trace_faces(&g);
-        let d = build_dual(&g, &f);
+        let f = trace_faces(&g, 1);
+        let d = build_dual(&g, &f, 1);
         assert_eq!(d.face_count, 3);
         assert_eq!(d.edges.len(), 5);
         let mut degs = d.degrees();

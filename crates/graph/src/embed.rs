@@ -1,42 +1,41 @@
-//! Parallel face tracing and dual construction.
+//! Face tracing and dual construction, serial or parallel.
 //!
-//! [`crate::trace_faces`] and [`crate::build_dual`] are inherently
-//! per-component computations: the rotation system of a node involves only
-//! its own incident half-edges, a face boundary walk never leaves its
-//! connected component, and every dual edge connects two faces of one
-//! component. This module exploits that to run the whole planar-embedding
-//! back end — the largest serial fraction of bipartization once extraction
-//! and solving are parallel — on `std::thread::scope` workers:
+//! Face tracing and dualization are inherently per-component
+//! computations: the rotation system of a node involves only its own
+//! incident half-edges, a face boundary walk never leaves its connected
+//! component, and every dual edge connects two faces of one component.
+//! This module exploits that to run the whole planar-embedding back end —
+//! the largest serial fraction of bipartization once extraction and
+//! solving are parallel — on `std::thread::scope` workers:
 //!
 //! * [`component_embeddings`] partitions the alive edges by connected
 //!   component and traces each component's faces independently, with dense
 //!   per-component renumbering of nodes, half-edges and faces;
-//! * [`trace_faces_par`] deterministically merges those local traces back
+//! * [`trace_faces`] deterministically merges those local traces back
 //!   into the exact global [`Faces`] layout;
-//! * [`build_dual_par`] classifies alive edges into dual edges and bridges
-//!   on contiguous chunks merged in chunk order.
+//! * [`build_dual`] classifies alive edges into dual edges and bridges on
+//!   contiguous chunks merged in chunk order.
+//!
+//! At one worker, [`trace_faces`] and [`build_dual`] run their serial
+//! bodies directly, with no partition, merge or chunking.
 //!
 //! # Bit-identity guarantee
 //!
-//! Both parallel entry points are **bit-identical to their serial
-//! counterparts at every parallelism degree** (property-tested in
-//! `crates/graph/tests/proptest_graph.rs` across parallelism 0/1/2/4 and
-//! asserted on every `bench_json` run). The merge rule that makes face ids
-//! line up: the serial trace scans half-edges in ascending id order and
-//! opens a new face at the first unvisited half-edge, so serial face ids
-//! are exactly the faces sorted by their minimal half-edge id (the face's
-//! *anchor*). A per-component trace scanning its own half-edges in
-//! ascending global order discovers the same faces at the same anchors in
-//! ascending order, so sorting all components' faces by anchor reproduces
-//! the serial id assignment — no renumbering fixpoint, no tie-breaking
-//! heuristics.
+//! Both entry points are **bit-identical at every parallelism degree**
+//! (property-tested in `crates/graph/tests/proptest_graph.rs` across
+//! parallelism 0/1/2/4 and asserted on every `bench_json` run). The merge
+//! rule that makes face ids line up: the serial trace scans half-edges in
+//! ascending id order and opens a new face at the first unvisited
+//! half-edge, so serial face ids are exactly the faces sorted by their
+//! minimal half-edge id (the face's *anchor*). A per-component trace
+//! scanning its own half-edges in ascending global order discovers the
+//! same faces at the same anchors in ascending order, so sorting all
+//! components' faces by anchor reproduces the serial id assignment — no
+//! renumbering fixpoint, no tie-breaking heuristics.
 
-use crate::{
-    build_dual, connected_components, trace_faces, DualEdge, DualGraph, EdgeId, EmbeddedGraph,
-    Faces,
-};
+use crate::{connected_components, DualEdge, DualGraph, EdgeId, EmbeddedGraph, Faces};
 use aapsm_fault::{Budget, BudgetExceeded, FaultSite, Stage};
-use aapsm_geom::{par_map_indexed, resolve_workers};
+use aapsm_geom::{par_map_indexed, workers_for};
 
 /// The faces of one connected component's plane drawing, in dense local
 /// numbering.
@@ -72,33 +71,16 @@ impl ComponentEmbedding {
     }
 }
 
-/// Minimum global half-edge count before auto parallelism spawns trace
-/// workers.
-///
-/// Below this the whole trace is a few hundred microseconds and thread
-/// spawn/join would dominate. Applies only to `parallelism = 0`; an
-/// explicit worker count is honored. Purely a scheduling decision —
-/// results are bit-identical either way.
-const SERIAL_FALLBACK_HALF_EDGES: usize = 4096;
-
-/// Resolves the parallelism knob against the component count and the
-/// adaptive serial fallback.
-fn trace_workers(g: &EmbeddedGraph, parallelism: usize, components: usize) -> usize {
-    if parallelism == 0 && 2 * g.edge_count() < SERIAL_FALLBACK_HALF_EDGES {
-        1
-    } else {
-        resolve_workers(parallelism).min(components).max(1)
-    }
-}
-
 /// Traces the faces of every edge-bearing connected component of the alive
 /// subgraph on up to `parallelism` workers (`0` = auto, `1` = inline).
 ///
 /// Components are returned in [`connected_components`] order with
 /// edge-free components skipped; each entry's trace is bit-identical to
-/// what the serial [`crate::trace_faces`] computes for that component (see
-/// the module docs for the merge rule). Same planarity contract and
-/// zero-length-edge panics as the serial trace.
+/// what the serial [`trace_faces`] computes for that component (see the
+/// module docs for the merge rule). Same planarity contract and
+/// zero-length-edge panics as the serial trace. Auto parallelism falls
+/// back to serial per [`workers_for`], with graph edges as the unit of
+/// work.
 pub fn component_embeddings(g: &EmbeddedGraph, parallelism: usize) -> Vec<ComponentEmbedding> {
     match component_embeddings_budgeted(g, parallelism, &Budget::unlimited()) {
         Ok(embeddings) => embeddings,
@@ -167,7 +149,9 @@ fn trace_partition(
     parallelism: usize,
     budget: &Budget,
 ) -> Result<Vec<ComponentEmbedding>, BudgetExceeded> {
-    let workers = trace_workers(g, parallelism, partition.work.len());
+    let workers = workers_for(parallelism, g.edge_count())
+        .min(partition.work.len())
+        .max(1);
     par_map_indexed(
         partition.work.len(),
         workers,
@@ -210,11 +194,11 @@ fn trace_component(
 /// alive-edge list with a dense node renumbering: builds the CCW rotation
 /// system, walks face successors, and assigns face ids in ascending
 /// first-half-edge order. Returns `(face_of, face_len, anchors)` in the
-/// [`ComponentEmbedding`] layout. [`crate::trace_faces`] runs it once
+/// [`ComponentEmbedding`] layout. The serial [`trace_faces`] runs it once
 /// over the identity partition; the parallel path runs it per component
 /// — one implementation, so the serial/parallel bit-identity contract
 /// cannot drift.
-pub(crate) fn trace_edge_list(
+fn trace_edge_list(
     g: &EmbeddedGraph,
     edges: &[EdgeId],
     node_local: &[u32],
@@ -305,37 +289,58 @@ pub(crate) fn trace_edge_list(
     (face_of, face_len, anchors)
 }
 
-/// [`crate::trace_faces`] on up to `parallelism` workers (`0` = auto,
-/// `1` = inline).
+/// Traces the faces of the alive subgraph's straight-line drawing on up
+/// to `parallelism` workers (`0` = auto, `1` = serial).
 ///
-/// Traces each connected component independently via
-/// [`component_embeddings`] and merges the local traces by sorting faces
-/// on their anchor half-edge — **bit-identical to the serial trace**
+/// Requires a *plane* drawing: no two alive edges may cross (planarize
+/// first, see [`crate::planarize_with_crossings`]) and no two nodes may
+/// share coordinates (see [`EmbeddedGraph::nudge_duplicate_positions`]).
+///
+/// With more than one worker and more than one edge-bearing component,
+/// each connected component is traced independently via
+/// [`component_embeddings`] and the local traces are merged by sorting
+/// faces on their anchor half-edge — **bit-identical to the serial trace**
 /// (`count`, `face_of`, `face_len`) at every parallelism degree; see the
-/// module docs for why the merge is exact.
+/// module docs for why the merge is exact. Otherwise (explicit `1`, one
+/// available CPU, a graph under the auto-parallelism fallback of
+/// [`workers_for`], or a single component) the serial trace runs
+/// directly.
 ///
-/// When the knob resolves to a single worker (explicit `1`, one
-/// available CPU, or a graph under the adaptive threshold) the partition
-/// and merge would be pure overhead, so the call runs the serial trace
-/// directly — a scheduling decision only, covered by the same bit-identity
-/// property tests.
-pub fn trace_faces_par(g: &EmbeddedGraph, parallelism: usize) -> Faces {
-    let single = resolve_workers(parallelism) <= 1
-        || (parallelism == 0 && 2 * g.edge_count() < SERIAL_FALLBACK_HALF_EDGES);
-    if single {
-        return trace_faces(g);
+/// # Panics
+///
+/// Panics if an alive edge has zero length (coincident endpoint
+/// coordinates).
+pub fn trace_faces(g: &EmbeddedGraph, parallelism: usize) -> Faces {
+    if workers_for(parallelism, g.edge_count()) > 1 {
+        let partition = ComponentPartition::of(g);
+        if partition.work.len() > 1 {
+            let embeddings = match trace_partition(g, &partition, parallelism, &Budget::unlimited())
+            {
+                Ok(embeddings) => embeddings,
+                Err(_) => unreachable!("unlimited budget never trips"),
+            };
+            return merge_embeddings(g, &embeddings);
+        }
     }
-    let partition = ComponentPartition::of(g);
-    if partition.work.len() <= 1 {
-        // One edge-bearing component: nothing to parallelize, and the
-        // local renumbering + merge would only add overhead.
-        return trace_faces(g);
+    // Serial: the canonical trace over the identity partition (all alive
+    // edges, global node numbering). Scanning the dense half-edge list in
+    // ascending order visits global half-edges in ascending order, so the
+    // local face ids *are* the serial face ids — only the half-edge
+    // indices need scattering back to the global `2*edge + dir` layout.
+    let edges: Vec<EdgeId> = g.alive_edges().collect();
+    let node_local: Vec<u32> = (0..g.node_count() as u32).collect();
+    let (local_face_of, face_len, _anchors) =
+        trace_edge_list(g, &edges, &node_local, g.node_count());
+    let mut face_of = vec![u32::MAX; 2 * g.edge_count()];
+    for (i, &e) in edges.iter().enumerate() {
+        face_of[2 * e.index()] = local_face_of[2 * i];
+        face_of[2 * e.index() + 1] = local_face_of[2 * i + 1];
     }
-    let embeddings = match trace_partition(g, &partition, parallelism, &Budget::unlimited()) {
-        Ok(embeddings) => embeddings,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    };
-    merge_embeddings(g, &embeddings)
+    Faces {
+        count: face_len.len(),
+        face_of,
+        face_len,
+    }
 }
 
 /// Merges per-component traces into the global serial [`Faces`] layout.
@@ -374,58 +379,44 @@ fn merge_embeddings(g: &EmbeddedGraph, embeddings: &[ComponentEmbedding]) -> Fac
     }
 }
 
-/// [`crate::build_dual`] on up to `parallelism` workers (`0` = auto,
-/// `1` = inline).
+/// Builds the geometric dual of the alive subgraph's plane drawing on up
+/// to `parallelism` workers (`0` = auto, `1` = serial).
 ///
-/// Alive edges are classified into dual edges and bridges on contiguous
-/// chunks whose outputs are concatenated in chunk order, so the result is
-/// **bit-identical to the serial build** (`edges`, `bridges`, `odd_face`)
-/// at every parallelism degree.
-pub fn build_dual_par(g: &EmbeddedGraph, faces: &Faces, parallelism: usize) -> DualGraph {
-    let resolved = resolve_workers(parallelism);
-    if resolved <= 1 || (parallelism == 0 && 2 * g.edge_count() < SERIAL_FALLBACK_HALF_EDGES) {
-        return build_dual(g, faces);
-    }
-    let alive: Vec<EdgeId> = g.alive_edges().collect();
-    let workers = resolved.min(alive.len()).max(1);
-    if workers <= 1 {
-        return build_dual(g, faces);
-    }
-    // Even chunk split; any chunking yields the same concatenation.
-    let chunk = alive.len().div_ceil(workers);
-    let chunks = alive.len().div_ceil(chunk);
-    let parts: Vec<(Vec<DualEdge>, Vec<EdgeId>)> = par_map_indexed(
-        chunks,
-        workers,
-        || (),
-        |(), k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(alive.len());
+/// `faces` must come from [`trace_faces`] on the same graph state. With
+/// more than one worker, alive edges are classified into dual edges and
+/// bridges on contiguous chunks whose outputs are concatenated in chunk
+/// order, so the result is **bit-identical to the serial build**
+/// (`edges`, `bridges`, `odd_face`) at every parallelism degree.
+pub fn build_dual(g: &EmbeddedGraph, faces: &Faces, parallelism: usize) -> DualGraph {
+    let workers = workers_for(parallelism, g.edge_count());
+    let (edges, bridges) = if workers <= 1 {
+        classify_dual(g, faces, g.alive_edges())
+    } else {
+        let alive: Vec<EdgeId> = g.alive_edges().collect();
+        let workers = workers.min(alive.len());
+        if workers <= 1 {
+            classify_dual(g, faces, alive.iter().copied())
+        } else {
+            // Even chunk split; any chunking yields the same concatenation.
+            let chunk = alive.len().div_ceil(workers);
+            let parts = par_map_indexed(
+                alive.len().div_ceil(chunk),
+                workers,
+                || (),
+                |(), k| {
+                    let hi = ((k + 1) * chunk).min(alive.len());
+                    classify_dual(g, faces, alive[k * chunk..hi].iter().copied())
+                },
+            );
             let mut edges = Vec::new();
             let mut bridges = Vec::new();
-            for &e in &alive[lo..hi] {
-                let a = faces.left_face(e);
-                let b = faces.right_face(e);
-                if a == b {
-                    bridges.push(e);
-                } else {
-                    edges.push(DualEdge {
-                        primal: e,
-                        a,
-                        b,
-                        weight: g.weight(e),
-                    });
-                }
+            for (e, b) in parts {
+                edges.extend(e);
+                bridges.extend(b);
             }
             (edges, bridges)
-        },
-    );
-    let mut edges = Vec::new();
-    let mut bridges = Vec::new();
-    for (e, b) in parts {
-        edges.extend(e);
-        bridges.extend(b);
-    }
+        }
+    };
     let odd_face = (0..faces.count as u32).map(|f| faces.is_odd(f)).collect();
     DualGraph {
         face_count: faces.count,
@@ -435,10 +426,36 @@ pub fn build_dual_par(g: &EmbeddedGraph, faces: &Faces, parallelism: usize) -> D
     }
 }
 
+/// Splits `alive` edges into dual edges (two distinct side faces) and
+/// bridges (the same face on both sides), preserving their order.
+fn classify_dual(
+    g: &EmbeddedGraph,
+    faces: &Faces,
+    alive: impl Iterator<Item = EdgeId>,
+) -> (Vec<DualEdge>, Vec<EdgeId>) {
+    let mut edges = Vec::new();
+    let mut bridges = Vec::new();
+    for e in alive {
+        let a = faces.left_face(e);
+        let b = faces.right_face(e);
+        if a == b {
+            bridges.push(e);
+        } else {
+            edges.push(DualEdge {
+                primal: e,
+                a,
+                b,
+                weight: g.weight(e),
+            });
+        }
+    }
+    (edges, bridges)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{planarize, trace_faces, PlanarizeOrder};
+    use crate::{crossing_pairs_par, planarize_with_crossings, PlanarizeOrder};
     use aapsm_geom::Point;
 
     fn p(x: i64, y: i64) -> Point {
@@ -446,13 +463,13 @@ mod tests {
     }
 
     fn assert_identical(g: &EmbeddedGraph, label: &str) {
-        let serial = trace_faces(g);
+        let serial = trace_faces(g, 1);
         serial.validate(g).expect("serial trace valid");
-        let dual_serial = build_dual(g, &serial);
+        let dual_serial = build_dual(g, &serial, 1);
         for parallelism in [0usize, 1, 2, 4] {
-            let par = trace_faces_par(g, parallelism);
+            let par = trace_faces(g, parallelism);
             assert_eq!(par, serial, "{label}: trace diverged at p={parallelism}");
-            let dual_par = build_dual_par(g, &par, parallelism);
+            let dual_par = build_dual(g, &par, parallelism);
             assert_eq!(
                 dual_par, dual_serial,
                 "{label}: dual diverged at p={parallelism}"
@@ -479,7 +496,7 @@ mod tests {
         g.add_edge(c0, a0, 1);
         g.add_edge(c1, a1, 1);
         assert_identical(&g, "interleaved triangles");
-        let f = trace_faces_par(&g, 4);
+        let f = trace_faces(&g, 4);
         assert_eq!(f.count, 4);
     }
 
@@ -507,7 +524,7 @@ mod tests {
         g.add_edge(b, c, 4);
         g.kill_edge(dead);
         assert_identical(&g, "parallel + dead");
-        let f = trace_faces_par(&g, 2);
+        let f = trace_faces(&g, 2);
         assert_eq!(f.face_of[2 * dead.index()], u32::MAX);
         assert_eq!(f.face_of[2 * dead.index() + 1], u32::MAX);
     }
@@ -569,7 +586,8 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..20));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            let crossings = crossing_pairs_par(&g, 1);
+            planarize_with_crossings(&mut g, PlanarizeOrder::MinWeightFirst, &crossings);
             assert_identical(&g, &format!("random trial {trial}"));
         }
     }

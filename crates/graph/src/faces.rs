@@ -2,7 +2,7 @@ use crate::{connected_components, EdgeId, EmbeddedGraph, NodeId};
 
 /// The faces of a plane straight-line drawing of the alive subgraph.
 ///
-/// Computed by [`trace_faces`] from the *rotation system* induced by the
+/// Computed by [`crate::trace_faces`] from the *rotation system* induced by the
 /// node coordinates (incident edges sorted counter-clockwise). Each
 /// directed half-edge belongs to exactly one face; the face boundary walk
 /// of a bridge visits it twice (once per direction).
@@ -210,42 +210,10 @@ fn alive_bridges(g: &EmbeddedGraph) -> Vec<bool> {
     bridge
 }
 
-/// Traces the faces of the alive subgraph's straight-line drawing.
-///
-/// Requires a *plane* drawing: no two alive edges may cross (run
-/// [`crate::planarize`] first) and no two nodes may share coordinates (see
-/// [`EmbeddedGraph::nudge_duplicate_positions`]).
-///
-/// # Panics
-///
-/// Panics if an alive edge has zero length (coincident endpoint
-/// coordinates).
-pub fn trace_faces(g: &EmbeddedGraph) -> Faces {
-    // One canonical trace algorithm for serial and parallel alike:
-    // `embed::trace_edge_list` over the identity partition (all alive
-    // edges, global node numbering). Scanning the dense half-edge list in
-    // ascending order visits global half-edges in ascending order, so the
-    // local face ids *are* the serial face ids — only the half-edge
-    // indices need scattering back to the global `2*edge + dir` layout.
-    let edges: Vec<EdgeId> = g.alive_edges().collect();
-    let node_local: Vec<u32> = (0..g.node_count() as u32).collect();
-    let (local_face_of, face_len, _anchors) =
-        crate::embed::trace_edge_list(g, &edges, &node_local, g.node_count());
-    let mut face_of = vec![u32::MAX; 2 * g.edge_count()];
-    for (i, &e) in edges.iter().enumerate() {
-        face_of[2 * e.index()] = local_face_of[2 * i];
-        face_of[2 * e.index() + 1] = local_face_of[2 * i + 1];
-    }
-    Faces {
-        count: face_len.len(),
-        face_of,
-        face_len,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_faces;
     use aapsm_geom::Point;
 
     fn p(x: i64, y: i64) -> Point {
@@ -262,7 +230,7 @@ mod tests {
         let a = g.add_node(p(0, 0));
         let b = g.add_node(p(10, 0));
         let e = g.add_edge(a, b, 1);
-        let f = trace_faces(&g);
+        let f = trace_faces(&g, 1);
         assert_eq!(f.count, 1);
         assert_eq!(f.face_len, vec![2]);
         assert_eq!(f.left_face(e), f.right_face(e));
@@ -278,7 +246,7 @@ mod tests {
         g.add_edge(a, b, 1);
         g.add_edge(b, c, 1);
         g.add_edge(c, a, 1);
-        let f = trace_faces(&g);
+        let f = trace_faces(&g, 1);
         assert_eq!(f.count, 2);
         let mut lens = f.face_len.clone();
         lens.sort_unstable();
@@ -297,7 +265,7 @@ mod tests {
         for i in 0..4 {
             g.add_edge(n[i], n[(i + 1) % 4], 1);
         }
-        let f = trace_faces(&g);
+        let f = trace_faces(&g, 1);
         assert_eq!(f.count, 2);
         assert!(f.odd_faces().is_empty());
         check_euler(&g, &f);
@@ -316,7 +284,7 @@ mod tests {
         g.add_edge(m, a, 1);
         g.add_edge(m, b, 1);
         g.add_edge(m, c, 1);
-        let f = trace_faces(&g);
+        let f = trace_faces(&g, 1);
         assert_eq!(f.count, 4);
         assert_eq!(f.face_len.iter().sum::<u32>(), 12); // 2E
         assert_eq!(f.odd_faces().len(), 4);
@@ -335,7 +303,7 @@ mod tests {
         g.add_edge(r, b, 1);
         g.add_edge(r, c, 1);
         g.add_edge(a, d, 1);
-        let f = trace_faces(&g);
+        let f = trace_faces(&g, 1);
         assert_eq!(f.count, 1);
         assert_eq!(f.face_len, vec![8]); // every edge visited twice
         check_euler(&g, &f);
@@ -355,14 +323,14 @@ mod tests {
         let x = g.add_node(p(10_000, 0));
         let y = g.add_node(p(10_100, 0));
         g.add_edge(x, y, 1);
-        let f = trace_faces(&g);
+        let f = trace_faces(&g, 1);
         assert_eq!(f.count, 3);
         check_euler(&g, &f);
     }
 
     #[test]
     fn face_walk_lengths_sum_to_twice_edges() {
-        use crate::{planarize, PlanarizeOrder};
+        use crate::PlanarizeOrder;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         for _ in 0..20 {
@@ -379,8 +347,9 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..20));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-            let f = trace_faces(&g);
+            let crossings = crate::crossing_pairs_par(&g, 1);
+            crate::planarize_with_crossings(&mut g, PlanarizeOrder::MinWeightFirst, &crossings);
+            let f = trace_faces(&g, 1);
             assert_eq!(
                 f.face_len.iter().sum::<u32>() as usize,
                 2 * g.alive_edge_count()

@@ -1,4 +1,4 @@
-use crate::{crossing_pairs, EdgeId, EmbeddedGraph};
+use crate::{EdgeId, EmbeddedGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -38,29 +38,13 @@ impl PlanarizeResult {
 /// Greedily removes crossing edges until the straight-line drawing of the
 /// alive subgraph is planar.
 ///
-/// Removed edges are killed in `g` and returned. This is Step 1(b) of the
-/// paper's flow; the removed set is the *potential conflict set P*, which
-/// Step 3 later re-examines against the bipartization coloring.
-pub fn planarize(g: &mut EmbeddedGraph, order: PlanarizeOrder) -> PlanarizeResult {
-    planarize_par(g, order, 1)
-}
-
-/// [`planarize`] with an explicit parallelism degree for the initial
-/// crossing sweep (`0` = one worker per CPU, `1` = serial). The greedy
-/// removal loop itself is inherently sequential; results are bit-identical
-/// at every degree because the sweep is ([`crate::crossing_pairs_par`]).
-pub fn planarize_par(
-    g: &mut EmbeddedGraph,
-    order: PlanarizeOrder,
-    parallelism: usize,
-) -> PlanarizeResult {
-    let crossings = crate::crossing_pairs_par(g, parallelism);
-    planarize_with_crossings(g, order, &crossings)
-}
-
-/// [`planarize`] over a precomputed crossing set of the *current* alive
-/// subgraph — callers that already ran the sweep (e.g. for statistics)
-/// avoid paying it twice.
+/// `crossings` must be the crossing set of the *current* alive subgraph
+/// ([`crate::crossing_pairs_par`]); callers run the sweep themselves
+/// because they also report its size. Removed edges are killed in `g` and
+/// returned. This is Step 1(b) of the paper's flow; the removed set is the
+/// *potential conflict set P*, which Step 3 later re-examines against the
+/// bipartization coloring. The greedy removal loop is inherently
+/// sequential.
 pub fn planarize_with_crossings(
     g: &mut EmbeddedGraph,
     order: PlanarizeOrder,
@@ -121,7 +105,7 @@ pub fn planarize_with_crossings(
         }
     }
 
-    debug_assert!(crossing_pairs(g).is_planar());
+    debug_assert!(crate::crossing_pairs_par(g, 1).is_planar());
     PlanarizeResult {
         removed,
         initial_crossings: initial,
@@ -135,6 +119,11 @@ mod tests {
 
     fn p(x: i64, y: i64) -> Point {
         Point::new(x, y)
+    }
+
+    fn planarize(g: &mut EmbeddedGraph, order: PlanarizeOrder) -> PlanarizeResult {
+        let crossings = crate::crossing_pairs_par(g, 1);
+        planarize_with_crossings(g, order, &crossings)
     }
 
     #[test]
@@ -211,7 +200,7 @@ mod tests {
                 }
             }
             let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-            assert!(crossing_pairs(&g).is_planar());
+            assert!(crate::crossing_pairs_par(&g, 1).is_planar());
             // Removed edges really were killed.
             assert!(res.removed.iter().all(|&e| !g.is_alive(e)));
         }

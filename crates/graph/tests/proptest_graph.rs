@@ -3,11 +3,17 @@
 
 use aapsm_geom::Point;
 use aapsm_graph::{
-    biconnected_components, build_dual, build_dual_par, connected_components, crossing_pairs,
-    greedy_parity_subgraph, planarize, trace_faces, trace_faces_par, two_color,
-    two_color_excluding, EmbeddedGraph, ParityUnionFind, PlanarizeOrder,
+    biconnected_components, build_dual, connected_components, crossing_pairs_par,
+    greedy_parity_subgraph, planarize_with_crossings, trace_faces, two_color, two_color_excluding,
+    EmbeddedGraph, ParityUnionFind, PlanarizeOrder, PlanarizeResult,
 };
 use proptest::prelude::*;
+
+/// Serial planarization: one crossing sweep, then the greedy removal.
+fn planarize(g: &mut EmbeddedGraph, order: PlanarizeOrder) -> PlanarizeResult {
+    let crossings = crossing_pairs_par(g, 1);
+    planarize_with_crossings(g, order, &crossings)
+}
 
 /// Parallelism degrees every parallel entry point is checked at.
 const DEGREES: [usize; 4] = [0, 1, 2, 4];
@@ -43,7 +49,7 @@ proptest! {
     fn planarize_clears_all_crossings(mut g in random_graph()) {
         let before = g.alive_edge_count();
         let removed = planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-        prop_assert!(crossing_pairs(&g).is_planar());
+        prop_assert!(crossing_pairs_par(&g, 1).is_planar());
         prop_assert_eq!(g.alive_edge_count() + removed.removed.len(), before);
     }
 
@@ -52,7 +58,7 @@ proptest! {
     #[test]
     fn faces_satisfy_euler(mut g in random_graph()) {
         planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-        let faces = trace_faces(&g);
+        let faces = trace_faces(&g, 1);
         prop_assert_eq!(
             faces.face_len.iter().sum::<u32>() as usize,
             2 * g.alive_edge_count()
@@ -86,10 +92,10 @@ proptest! {
     #[test]
     fn parallel_trace_is_bit_identical_and_valid(mut g in random_graph()) {
         planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-        let serial = trace_faces(&g);
+        let serial = trace_faces(&g, 1);
         prop_assert!(serial.validate(&g).is_ok(), "{:?}", serial.validate(&g));
         for parallelism in DEGREES {
-            let par = trace_faces_par(&g, parallelism);
+            let par = trace_faces(&g, parallelism);
             prop_assert!(par.validate(&g).is_ok(), "{:?}", par.validate(&g));
             prop_assert_eq!(&par, &serial, "trace diverged at parallelism {}", parallelism);
         }
@@ -100,10 +106,10 @@ proptest! {
     #[test]
     fn parallel_dual_is_bit_identical(mut g in random_graph()) {
         planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-        let faces = trace_faces(&g);
-        let serial = build_dual(&g, &faces);
+        let faces = trace_faces(&g, 1);
+        let serial = build_dual(&g, &faces, 1);
         for parallelism in DEGREES {
-            let par = build_dual_par(&g, &faces, parallelism);
+            let par = build_dual(&g, &faces, parallelism);
             prop_assert_eq!(&par, &serial, "dual diverged at parallelism {}", parallelism);
         }
     }
@@ -113,8 +119,8 @@ proptest! {
     #[test]
     fn dual_parity_invariants(mut g in random_graph()) {
         planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-        let faces = trace_faces(&g);
-        let dual = build_dual(&g, &faces);
+        let faces = trace_faces(&g, 1);
+        let dual = build_dual(&g, &faces, 1);
         prop_assert_eq!(dual.t_set().len() % 2, 0);
         prop_assert_eq!(
             dual.degrees().iter().sum::<usize>(),

@@ -441,6 +441,7 @@ impl Solver {
     /// charges one [`Stage::Matching`] tick to `budget`, so a budgeted
     /// solve trips mid-search instead of running to completion.
     fn matching_phase(&mut self, budget: &Budget) -> Result<bool, BudgetExceeded> {
+        // lint: allow(L1) — O(V) per-phase reset; phases are bounded by the node count
         for x in 0..=self.n_x {
             self.s[x] = -1;
             self.slack[x] = 0;
@@ -448,6 +449,7 @@ impl Solver {
         self.heap.clear();
         self.acc = 0;
         self.q.clear();
+        // lint: allow(L1) — O(V) per-phase seeding; phases are bounded by the node count
         for x in 1..=self.n_x {
             if self.st[x] == x && self.mate[x] == 0 {
                 self.pa[x] = 0;
@@ -460,10 +462,12 @@ impl Solver {
         }
         loop {
             budget.charge(Stage::Matching, 1)?;
+            // lint: allow(L1) — O(V²) per dual adjustment, which the enclosing loop charges
             while let Some(u) = self.q.pop_front() {
                 if self.s[self.st[u]] == 1 {
                     continue;
                 }
+                // lint: allow(L1) — O(V) scan inside the charged dual-adjustment loop
                 for v in 1..=self.n {
                     if self.g_at(u, v).w > 0 && self.st[u] != self.st[v] {
                         if self.e_delta(self.g_at(u, v)) == 0 {
@@ -478,6 +482,7 @@ impl Solver {
                 }
             }
             let mut d = INF;
+            // lint: allow(L1) — O(heap) stale-entry drain inside the charged dual-adjustment loop
             for b in (self.n + 1)..=self.n_x {
                 if self.st[b] == b && self.s[b] == 1 {
                     d = d.min(self.lab[b] / 2);
@@ -489,6 +494,7 @@ impl Solver {
             // keeps an exact-price entry in the heap, so the surviving
             // top is the true minimum; it stays in the heap because any
             // adjustment by at most its effective delta keeps it current.
+            // lint: allow(L1) — O(V) scan inside the charged dual-adjustment loop
             while let Some(&Reverse((price, x))) = self.heap.peek() {
                 if self.slack_price(x) == Some(price) {
                     d = d.min(price - self.acc);
@@ -516,6 +522,7 @@ impl Solver {
                 }
                 assert_eq!(d, d_old, "lazy heap min diverged from rescan min");
             }
+            // lint: allow(L1) — O(V) scan inside the charged dual-adjustment loop
             for u in 1..=self.n {
                 match self.s[self.st[u]] {
                     0 => {
@@ -528,6 +535,7 @@ impl Solver {
                     _ => {}
                 }
             }
+            // lint: allow(L1) — O(V) scan inside the charged dual-adjustment loop
             for b in (self.n + 1)..=self.n_x {
                 if self.st[b] == b {
                     match self.s[b] {
@@ -544,6 +552,7 @@ impl Solver {
             // Processing one can push further tight entries (a new
             // blossom's fresh slack can already be tight); the loop keeps
             // draining until only strictly positive slack remains.
+            // lint: allow(L1) — O(heap) tight-edge drain inside the charged dual-adjustment loop
             while let Some(&Reverse((price, x))) = self.heap.peek() {
                 if price > self.acc {
                     if self.slack_price(x) == Some(price) {
@@ -565,6 +574,7 @@ impl Solver {
                     return Ok(true);
                 }
             }
+            // lint: allow(L1) — O(V) scan inside the charged dual-adjustment loop
             for b in (self.n + 1)..=self.n_x {
                 if self.st[b] == b && self.s[b] == 1 && self.lab[b] == 0 {
                     self.expand_blossom(b);
@@ -577,6 +587,7 @@ impl Solver {
         // `flower_from` needs no eager setup: its real-node rows are never
         // read (every `ff` read is on a blossom id), and `add_blossom`
         // zeroes a blossom's row before filling it.
+        // lint: allow(L1) — O(V) label initialization ahead of the charged phases
         for u in 1..=self.n {
             self.lab[u] = self.w_max;
         }
@@ -601,6 +612,7 @@ impl Solver {
             });
         }
         self.reset(n);
+        // lint: allow(L1) — O(E) matrix setup ahead of the charged O(V³) search
         for &(u, v, w) in edges {
             assert!(u < n && v < n, "edge endpoint out of range");
             assert_ne!(u, v, "self-loops are not allowed");
@@ -633,6 +645,7 @@ impl Solver {
         self.run(budget)?;
         let mut weight = 0i64;
         let mut mate = vec![None; n];
+        // lint: allow(L1) — O(V) result extraction after the charged search
         for u in 1..=n {
             let m = self.mate[u];
             if m != 0 {

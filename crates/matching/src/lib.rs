@@ -256,6 +256,7 @@ fn min_weight_perfect_matching_impl(
     }
     const W_LIMIT: i64 = 1 << 40;
     let mut w_max = 0i64;
+    // lint: allow(L1) — O(E) input validation ahead of the charged O(n³) solve
     for &(u, v, w) in edges {
         assert!(u < n && v < n, "edge endpoint out of range");
         assert_ne!(u, v, "self-loops are not allowed");

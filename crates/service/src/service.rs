@@ -10,7 +10,7 @@ use aapsm_core::{
     run_flow, CacheStats, Conflict, DetectConfig, FlowConfig, FlowError, FlowResult,
     RedetectEngine, RedetectStats, SharedSolveCache, StageProvenance,
 };
-use aapsm_fault::{Budget, BudgetSpec, CancelToken};
+use aapsm_fault::{ArmedPlan, Budget, BudgetSpec, CancelToken};
 use aapsm_gds::read_gds;
 use aapsm_layout::{apply_cuts, Layout, SpaceCut};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -165,6 +165,9 @@ struct Job {
     ladder_level: usize,
     depth: usize,
     reply: mpsc::Sender<Result<Response, ServiceError>>,
+    /// The submitter's fault plan (debug builds), armed on the worker
+    /// for the job's duration.
+    fault_plan: ArmedPlan,
 }
 
 /// Mutable per-session state; guarded by [`SessionSlot::state`].
@@ -407,6 +410,7 @@ impl DetectionService {
                 ladder_level,
                 depth,
                 reply: tx,
+                fault_plan: ArmedPlan::current(),
             });
         }
         shared.queue_cv.notify_one();
@@ -572,7 +576,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             inc(&shared.metrics.rejected_shutdown);
             let _ = job.reply.send(Err(ServiceError::ShuttingDown));
         } else {
-            process_job(shared, job);
+            let plan = job.fault_plan.clone();
+            plan.run(|| process_job(shared, job));
         }
         shared.in_flight.fetch_sub(1, Ordering::AcqRel);
     }

@@ -54,7 +54,7 @@ use aapsm_matching::MatchingContext;
 pub enum GadgetKind {
     /// One complete gadget per node (no junctions).
     Complete,
-    /// Complete subgraphs of size ≤ 3 (the optimized gadgets of [5]).
+    /// Complete subgraphs of size ≤ 3 (the optimized gadgets of \[5\]).
     Optimized,
     /// Complete subgraphs of size ≤ `max_group` (the paper's generalized
     /// gadgets).
@@ -104,46 +104,18 @@ enum NodeMeta {
     Divide(usize),
 }
 
-/// Solves the T-join by the gadget reduction; also returns the matching
-/// instance size (for the size/runtime benches).
-///
-/// Uses the calling thread's shared [`MatchingContext`]; see
-/// [`solve_gadget_with`] to control solver-arena reuse explicitly.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_gadget(
-    inst: &TJoinInstance,
-    kind: GadgetKind,
-) -> Result<(TJoin, GadgetStats), TJoinError> {
-    aapsm_matching::with_thread_context(|ctx| solve_gadget_with(inst, kind, ctx))
-}
-
-/// [`solve_gadget`] against a caller-owned matching arena.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_gadget_with(
-    inst: &TJoinInstance,
-    kind: GadgetKind,
-    ctx: &mut MatchingContext,
-) -> Result<(TJoin, GadgetStats), TJoinError> {
-    solve_gadget_budgeted(inst, kind, ctx, &Budget::unlimited())
-}
-
-/// [`solve_gadget_with`] under a [`Budget`]: the Blossom matching charges
-/// [`aapsm_fault::Stage::Matching`] ticks and aborts early when it trips.
+/// Solves the T-join by the gadget reduction in the caller's matching
+/// arena and under `budget`; also returns the matching instance size (for
+/// the size/runtime benches). The Blossom matching charges
+/// [`aapsm_fault::Stage::Matching`] ticks and aborts early when the budget
+/// trips.
 ///
 /// # Errors
 ///
 /// Returns [`TJoinError::Infeasible`] when some component has an odd
 /// number of T-nodes and [`TJoinError::Budget`] when the budget trips
 /// inside the matching.
-pub fn solve_gadget_budgeted(
+pub fn solve_gadget(
     inst: &TJoinInstance,
     kind: GadgetKind,
     ctx: &mut MatchingContext,
@@ -396,6 +368,16 @@ mod tests {
     use crate::brute::solve_brute;
     use rand::{Rng, SeedableRng};
 
+    /// [`solve_gadget`] unbudgeted, in the calling thread's matching arena.
+    fn solve_unbudgeted(
+        inst: &TJoinInstance,
+        kind: GadgetKind,
+    ) -> Result<(TJoin, GadgetStats), TJoinError> {
+        aapsm_matching::with_thread_context(|ctx| {
+            solve_gadget(inst, kind, ctx, &Budget::unlimited())
+        })
+    }
+
     fn kinds() -> Vec<GadgetKind> {
         vec![
             GadgetKind::Complete,
@@ -410,7 +392,7 @@ mod tests {
     fn single_edge_join() {
         let inst = TJoinInstance::new(2, vec![(0, 1, 3)], vec![true, true]).unwrap();
         for k in kinds() {
-            let (j, _) = solve_gadget(&inst, k).unwrap();
+            let (j, _) = solve_unbudgeted(&inst, k).unwrap();
             assert_eq!(j.weight, 3, "{k:?}");
             assert_eq!(j.edges, vec![0]);
         }
@@ -433,7 +415,7 @@ mod tests {
             let inst = TJoinInstance::new(leaves + 1, edges, t).unwrap();
             let reference = solve_brute(&inst);
             for k in kinds() {
-                let got = solve_gadget(&inst, k).map(|(j, _)| j);
+                let got = solve_unbudgeted(&inst, k).map(|(j, _)| j);
                 assert_eq!(
                     reference.as_ref().map(|j| j.weight),
                     got.as_ref().ok().map(|j| j.weight),
@@ -459,15 +441,16 @@ mod tests {
             t[1] = !t[1];
         }
         let inst = TJoinInstance::new(13, edges, t).unwrap();
-        let (_, complete) = solve_gadget(&inst, GadgetKind::Complete).unwrap();
-        let (_, grouped) = solve_gadget(&inst, GadgetKind::Generalized { max_group: 4 }).unwrap();
+        let (_, complete) = solve_unbudgeted(&inst, GadgetKind::Complete).unwrap();
+        let (_, grouped) =
+            solve_unbudgeted(&inst, GadgetKind::Generalized { max_group: 4 }).unwrap();
         assert!(
             grouped.matching_edges < complete.matching_edges,
             "grouped {grouped:?} vs complete {complete:?}"
         );
         // Generalized (bigger groups) uses fewer nodes than optimized.
-        let (_, opt) = solve_gadget(&inst, GadgetKind::Optimized).unwrap();
-        let (_, gen8) = solve_gadget(&inst, GadgetKind::Generalized { max_group: 8 }).unwrap();
+        let (_, opt) = solve_unbudgeted(&inst, GadgetKind::Optimized).unwrap();
+        let (_, gen8) = solve_unbudgeted(&inst, GadgetKind::Generalized { max_group: 8 }).unwrap();
         assert!(gen8.matching_nodes < opt.matching_nodes);
     }
 
@@ -489,7 +472,7 @@ mod tests {
         let reference = solve_brute(&inst).unwrap();
         assert_eq!(reference.weight, 2); // edges (0,1) and (0,6)
         for k in kinds() {
-            let (j, _) = solve_gadget(&inst, k).unwrap();
+            let (j, _) = solve_unbudgeted(&inst, k).unwrap();
             assert_eq!(j.weight, reference.weight, "{k:?}");
             assert!(inst.is_valid_join(&j), "{k:?}");
         }
@@ -515,7 +498,7 @@ mod tests {
             let inst = TJoinInstance::new(n, edges.clone(), t.clone()).unwrap();
             let reference = solve_brute(&inst);
             for k in kinds() {
-                let got = solve_gadget(&inst, k).map(|(j, _)| j);
+                let got = solve_unbudgeted(&inst, k).map(|(j, _)| j);
                 match (&reference, got) {
                     (None, Err(_)) => {}
                     (Some(b), Ok(j)) => {
@@ -541,14 +524,14 @@ mod tests {
         // be materialized — 2 true nodes only (plus junctions/extras).
         let inst =
             TJoinInstance::new(3, vec![(0, 1, 1), (1, 2, 1)], vec![true, false, true]).unwrap();
-        let (_, stats) = solve_gadget(&inst, GadgetKind::Complete).unwrap();
+        let (_, stats) = solve_unbudgeted(&inst, GadgetKind::Complete).unwrap();
         assert_eq!(stats.matching_nodes, 2);
     }
 
     #[test]
     fn parallel_bundles_use_explicit_nodes() {
         let inst = TJoinInstance::new(2, vec![(0, 1, 5), (0, 1, 2)], vec![false, false]).unwrap();
-        let (j, stats) = solve_gadget(&inst, GadgetKind::Complete).unwrap();
+        let (j, stats) = solve_unbudgeted(&inst, GadgetKind::Complete).unwrap();
         assert_eq!(j.weight, 0);
         // 2 edges x (true + ghost + dummy) = 6 nodes.
         assert_eq!(stats.matching_nodes, 6);

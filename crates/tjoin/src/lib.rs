@@ -61,11 +61,12 @@
 //! # Example
 //!
 //! ```
-//! use aapsm_tjoin::{solve, TJoinInstance, TJoinMethod};
+//! use aapsm_tjoin::{solve, Budget, MatchingContext, TJoinInstance, TJoinMethod};
 //!
 //! // A path 0-1-2 with T = {0, 2}: the T-join is the whole path.
 //! let inst = TJoinInstance::new(3, vec![(0, 1, 4), (1, 2, 5)], vec![true, false, true])?;
-//! let join = solve(&inst, TJoinMethod::default())?;
+//! let mut ctx = MatchingContext::new();
+//! let join = solve(&inst, TJoinMethod::default(), &mut ctx, &Budget::unlimited())?;
 //! assert_eq!(join.weight, 9);
 //! # Ok::<(), aapsm_tjoin::TJoinError>(())
 //! ```
@@ -77,11 +78,9 @@ mod gadget;
 mod instance;
 mod shortest_path;
 
-pub use gadget::{solve_gadget, solve_gadget_budgeted, solve_gadget_with, GadgetKind, GadgetStats};
+pub use gadget::{solve_gadget, GadgetKind, GadgetStats};
 pub use instance::{TJoin, TJoinError, TJoinInstance};
-pub use shortest_path::{
-    solve_shortest_path, solve_shortest_path_budgeted, solve_shortest_path_with,
-};
+pub use shortest_path::solve_shortest_path;
 
 pub use aapsm_fault::{Budget, BudgetExceeded};
 pub use aapsm_matching::MatchingContext;
@@ -141,56 +140,31 @@ pub fn resolve_method(method: TJoinMethod, inst: &TJoinInstance) -> TJoinMethod 
     }
 }
 
-/// Solves a minimum-weight T-join instance with the chosen method.
+/// Solves a minimum-weight T-join instance with the chosen method, in the
+/// caller's matching arena and under `budget`.
 ///
-/// All methods bottom out in Blossom perfect matching; this entry point
-/// uses the calling thread's shared [`MatchingContext`]. Use [`solve_with`]
-/// to reuse a caller-owned solver arena across many instances (the
-/// parallel bipartization workers do).
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some connected component
-/// contains an odd number of T-nodes.
-pub fn solve(inst: &TJoinInstance, method: TJoinMethod) -> Result<TJoin, TJoinError> {
-    aapsm_matching::with_thread_context(|ctx| solve_with(inst, method, ctx))
-}
-
-/// [`solve`] against a caller-owned matching arena.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some connected component
-/// contains an odd number of T-nodes.
-pub fn solve_with(
-    inst: &TJoinInstance,
-    method: TJoinMethod,
-    ctx: &mut MatchingContext,
-) -> Result<TJoin, TJoinError> {
-    solve_budgeted(inst, method, ctx, &Budget::unlimited())
-}
-
-/// [`solve_with`] under a [`Budget`]: the Blossom dual-adjustment loop
-/// charges [`aapsm_fault::Stage::Matching`] ticks and aborts early when the
-/// budget trips.
+/// All methods bottom out in Blossom perfect matching; `ctx` is the
+/// reusable solver arena (the parallel bipartization workers hold one
+/// each; sequential callers can borrow the calling thread's through
+/// `aapsm_matching::with_thread_context`). Every phase charges
+/// [`aapsm_fault::Stage::Matching`] ticks and aborts early when the budget
+/// trips; [`Budget::unlimited`] never trips.
 ///
 /// # Errors
 ///
 /// Returns [`TJoinError::Infeasible`] when some connected component
 /// contains an odd number of T-nodes, and [`TJoinError::Budget`] when the
 /// deadline, matching work cap, or cancellation token trips mid-solve.
-pub fn solve_budgeted(
+pub fn solve(
     inst: &TJoinInstance,
     method: TJoinMethod,
     ctx: &mut MatchingContext,
     budget: &Budget,
 ) -> Result<TJoin, TJoinError> {
     match method {
-        TJoinMethod::Gadget(kind) => {
-            solve_gadget_budgeted(inst, kind, ctx, budget).map(|(join, _)| join)
-        }
-        TJoinMethod::ShortestPath => solve_shortest_path_budgeted(inst, ctx, budget),
-        TJoinMethod::Auto => solve_budgeted(inst, select_method(inst), ctx, budget),
+        TJoinMethod::Gadget(kind) => solve_gadget(inst, kind, ctx, budget).map(|(join, _)| join),
+        TJoinMethod::ShortestPath => solve_shortest_path(inst, ctx, budget),
+        TJoinMethod::Auto => solve(inst, select_method(inst), ctx, budget),
     }
 }
 
@@ -198,6 +172,11 @@ pub fn solve_budgeted(
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+
+    /// [`solve`] unbudgeted, in the calling thread's matching arena.
+    fn solve_unbudgeted(inst: &TJoinInstance, method: TJoinMethod) -> Result<TJoin, TJoinError> {
+        aapsm_matching::with_thread_context(|ctx| solve(inst, method, ctx, &Budget::unlimited()))
+    }
 
     fn all_methods() -> Vec<TJoinMethod> {
         vec![
@@ -257,7 +236,7 @@ mod tests {
         let inst =
             TJoinInstance::new(3, vec![(0, 1, 2), (1, 2, 3)], vec![false, false, false]).unwrap();
         for m in all_methods() {
-            let j = solve(&inst, m).unwrap();
+            let j = solve_unbudgeted(&inst, m).unwrap();
             assert_eq!(j.weight, 0, "{m:?}");
             assert!(j.edges.is_empty());
         }
@@ -273,7 +252,7 @@ mod tests {
         )
         .unwrap();
         for m in all_methods() {
-            let j = solve(&inst, m).unwrap();
+            let j = solve_unbudgeted(&inst, m).unwrap();
             assert_eq!(j.weight, 2, "{m:?}");
             assert!(inst.is_valid_join(&j));
         }
@@ -284,7 +263,10 @@ mod tests {
         let inst = TJoinInstance::new(3, vec![(0, 1, 1)], vec![true, false, true]).unwrap();
         for m in all_methods() {
             assert!(
-                matches!(solve(&inst, m), Err(TJoinError::Infeasible { .. })),
+                matches!(
+                    solve_unbudgeted(&inst, m),
+                    Err(TJoinError::Infeasible { .. })
+                ),
                 "{m:?}"
             );
         }
@@ -295,7 +277,7 @@ mod tests {
         // Two parallel edges; T = both endpoints: take the cheaper one.
         let inst = TJoinInstance::new(2, vec![(0, 1, 7), (0, 1, 3)], vec![true, true]).unwrap();
         for m in all_methods() {
-            let j = solve(&inst, m).unwrap();
+            let j = solve_unbudgeted(&inst, m).unwrap();
             assert_eq!(j.weight, 3, "{m:?}");
             assert!(inst.is_valid_join(&j), "{m:?}");
         }
@@ -311,7 +293,7 @@ mod tests {
         )
         .unwrap();
         for m in all_methods() {
-            let j = solve(&inst, m).unwrap();
+            let j = solve_unbudgeted(&inst, m).unwrap();
             assert_eq!(j.weight, 4, "{m:?}");
         }
     }
@@ -338,7 +320,7 @@ mod tests {
             let inst = TJoinInstance::new(n, edges.clone(), t.clone()).unwrap();
             let reference = brute::solve_brute(&inst);
             for &m in &methods {
-                let got = solve(&inst, m);
+                let got = solve_unbudgeted(&inst, m);
                 match (&reference, got) {
                     (None, Err(TJoinError::Infeasible { .. })) => {}
                     (Some(b), Ok(j)) => {
@@ -380,7 +362,7 @@ mod tests {
             let inst = TJoinInstance::new(n, edges, t).unwrap();
             let results: Vec<_> = all_methods()
                 .into_iter()
-                .map(|m| solve(&inst, m).map(|j| j.weight))
+                .map(|m| solve_unbudgeted(&inst, m).map(|j| j.weight))
                 .collect();
             for w in &results[1..] {
                 assert_eq!(

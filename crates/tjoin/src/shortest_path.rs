@@ -20,46 +20,21 @@ const NO_PARENT: usize = usize::MAX;
 /// and XOR-ing them preserves the degree parity while never increasing the
 /// weight, so the result is an optimal T-join.
 ///
-/// Uses the calling thread's shared [`MatchingContext`]; see
-/// [`solve_shortest_path_with`] to control solver-arena reuse explicitly.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_shortest_path(inst: &TJoinInstance) -> Result<TJoin, TJoinError> {
-    aapsm_matching::with_thread_context(|ctx| solve_shortest_path_with(inst, ctx))
-}
-
-/// [`solve_shortest_path`] against a caller-owned matching arena.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_shortest_path_with(
-    inst: &TJoinInstance,
-    ctx: &mut MatchingContext,
-) -> Result<TJoin, TJoinError> {
-    solve_shortest_path_budgeted(inst, ctx, &Budget::unlimited())
-}
-
-/// [`solve_shortest_path_with`] under a [`Budget`].
-///
-/// Every phase of the reduction charges [`aapsm_fault::Stage::Matching`]
-/// work: the Dijkstra sweep charges one tick per heap pop, the T-pair
-/// distance-graph build one tick per source row, and the Blossom matching
-/// its usual one tick per dual adjustment — with a boundary
-/// [`Budget::check`] between phases. A blown deadline or work cap
-/// therefore trips inside whichever loop is running, never only after the
-/// (potentially dominant) shortest-path work has already completed.
+/// Runs in the caller's matching arena and under `budget`. Every phase of
+/// the reduction charges [`aapsm_fault::Stage::Matching`] work: the
+/// Dijkstra sweep charges one tick per heap pop, the T-pair distance-graph
+/// build one tick per source row, and the Blossom matching its usual one
+/// tick per dual adjustment — with a boundary [`Budget::check`] between
+/// phases. A blown deadline or work cap therefore trips inside whichever
+/// loop is running, never only after the (potentially dominant)
+/// shortest-path work has already completed.
 ///
 /// # Errors
 ///
 /// Returns [`TJoinError::Infeasible`] when some component has an odd
 /// number of T-nodes and [`TJoinError::Budget`] when the budget trips
 /// in any phase.
-pub fn solve_shortest_path_budgeted(
+pub fn solve_shortest_path(
     inst: &TJoinInstance,
     ctx: &mut MatchingContext,
     budget: &Budget,
@@ -90,7 +65,7 @@ pub fn solve_shortest_path_budgeted(
     let mut dist_all = Vec::with_capacity(t_nodes.len());
     let mut parent_all = Vec::with_capacity(t_nodes.len());
     for &s in &t_nodes {
-        let (dist, parent) = dijkstra.run_budgeted(inst, s, t_per_comp[comp[s]], budget)?;
+        let (dist, parent) = dijkstra.run(inst, s, t_per_comp[comp[s]], budget)?;
         dist_all.push(dist);
         parent_all.push(parent);
     }
@@ -163,7 +138,7 @@ impl DijkstraScratch {
     /// T-nodes (the source's whole component share) are settled. Charges
     /// one [`Stage::Matching`] tick per heap pop — the unit of work of
     /// the O(|T|·E log V) phase.
-    fn run_budgeted(
+    fn run(
         &mut self,
         inst: &TJoinInstance,
         source: usize,
@@ -208,6 +183,11 @@ mod tests {
     use super::*;
     use aapsm_fault::BudgetSpec;
 
+    /// [`solve_shortest_path`] unbudgeted, in a fresh matching arena.
+    fn solve_unbudgeted(inst: &TJoinInstance) -> Result<TJoin, TJoinError> {
+        solve_shortest_path(inst, &mut MatchingContext::new(), &Budget::unlimited())
+    }
+
     #[test]
     fn shared_path_edges_cancel() {
         // Star: center 0, leaves 1..=4, all leaves in T. Any pairing of
@@ -219,7 +199,7 @@ mod tests {
             vec![false, true, true, true, true],
         )
         .unwrap();
-        let j = solve_shortest_path(&inst).unwrap();
+        let j = solve_unbudgeted(&inst).unwrap();
         assert_eq!(j.weight, 4); // all four spokes
         assert!(inst.is_valid_join(&j));
     }
@@ -233,14 +213,14 @@ mod tests {
         )
         .unwrap();
         // Component T count = 3: infeasible.
-        assert!(solve_shortest_path(&inst).is_err());
+        assert!(solve_unbudgeted(&inst).is_err());
     }
 
     #[test]
     fn zero_weight_edges_are_fine() {
         let inst =
             TJoinInstance::new(3, vec![(0, 1, 0), (1, 2, 0)], vec![true, false, true]).unwrap();
-        let j = solve_shortest_path(&inst).unwrap();
+        let j = solve_unbudgeted(&inst).unwrap();
         assert_eq!(j.weight, 0);
         assert!(inst.is_valid_join(&j));
         assert_eq!(j.edges.len(), 2);
@@ -250,7 +230,7 @@ mod tests {
     fn multiple_components_solved_independently() {
         let inst = TJoinInstance::new(4, vec![(0, 1, 5), (2, 3, 7)], vec![true, true, true, true])
             .unwrap();
-        let j = solve_shortest_path(&inst).unwrap();
+        let j = solve_unbudgeted(&inst).unwrap();
         assert_eq!(j.weight, 12);
     }
 
@@ -280,14 +260,14 @@ mod tests {
         }
         .build();
         let mut ctx = MatchingContext::new();
-        let got = solve_shortest_path_budgeted(&inst, &mut ctx, &budget);
+        let got = solve_shortest_path(&inst, &mut ctx, &budget);
         assert!(
             matches!(got, Err(TJoinError::Budget(_))),
             "cap of 64 ticks against ~4096 heap pops must trip, got {got:?}"
         );
         // The identical instance under an unlimited budget still solves
         // exactly (the charges are bookkeeping, not behavior).
-        let j = solve_shortest_path_with(&inst, &mut ctx).unwrap();
+        let j = solve_shortest_path(&inst, &mut ctx, &Budget::unlimited()).unwrap();
         assert_eq!(j.weight, 4095);
     }
 
@@ -310,7 +290,7 @@ mod tests {
                 exhaust_at: Some((Stage::Matching, 100)),
                 ..FaultPlan::default()
             },
-            || solve_shortest_path_budgeted(&inst, &mut ctx, &budget),
+            || solve_shortest_path(&inst, &mut ctx, &budget),
         );
         match got {
             Err(TJoinError::Budget(e)) => {
@@ -320,7 +300,7 @@ mod tests {
             other => panic!("expected an injected budget trip, got {other:?}"),
         }
         // No plan, same budget: the solve completes and is exact.
-        let j = solve_shortest_path_budgeted(&inst, &mut ctx, &budget).unwrap();
+        let j = solve_shortest_path(&inst, &mut ctx, &budget).unwrap();
         assert_eq!(j.weight, 511);
         assert!(inst.is_valid_join(&j));
     }
@@ -340,7 +320,7 @@ mod tests {
         t[50] = true;
         t[51] = true;
         let inst = TJoinInstance::new(60, edges, t).unwrap();
-        let j = solve_shortest_path(&inst).unwrap();
+        let j = solve_unbudgeted(&inst).unwrap();
         assert_eq!(j.weight, 80 + 3);
         assert!(inst.is_valid_join(&j));
     }

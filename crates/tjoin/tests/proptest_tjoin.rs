@@ -1,7 +1,20 @@
 //! Property-based cross-validation of every T-join engine.
 
-use aapsm_tjoin::{brute, solve, GadgetKind, TJoinInstance, TJoinMethod};
+use aapsm_tjoin::{
+    brute, solve, Budget, GadgetKind, MatchingContext, TJoin, TJoinError, TJoinInstance,
+    TJoinMethod,
+};
 use proptest::prelude::*;
+
+/// [`solve`] unbudgeted, in a fresh matching arena.
+fn solve_unbudgeted(inst: &TJoinInstance, method: TJoinMethod) -> Result<TJoin, TJoinError> {
+    solve(
+        inst,
+        method,
+        &mut MatchingContext::new(),
+        &Budget::unlimited(),
+    )
+}
 
 fn instance() -> impl Strategy<Value = TJoinInstance> {
     (2usize..8).prop_flat_map(|n| {
@@ -38,7 +51,7 @@ proptest! {
     fn engines_match_brute_force(inst in instance()) {
         let reference = brute::solve_brute(&inst);
         for m in methods() {
-            match (&reference, solve(&inst, m)) {
+            match (&reference, solve_unbudgeted(&inst, m)) {
                 (None, Err(_)) => {}
                 (Some(b), Ok(j)) => {
                     prop_assert!(inst.is_valid_join(&j), "{m:?}");
@@ -81,7 +94,7 @@ proptest! {
         )
         .unwrap();
         for m in methods() {
-            let j = solve(&empty_t, m).unwrap();
+            let j = solve_unbudgeted(&empty_t, m).unwrap();
             prop_assert_eq!(j.weight, 0);
             prop_assert!(j.edges.is_empty());
         }

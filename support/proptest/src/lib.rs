@@ -230,7 +230,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::TestRng;
 
-    /// Sizes accepted by [`vec`]: `n`, `a..b`, or `a..=b`.
+    /// Sizes accepted by [`vec`](fn@vec): `n`, `a..b`, or `a..=b`.
     pub trait SizeRange {
         /// Draws a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -260,7 +260,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,
