@@ -2,8 +2,8 @@
 //! rustc-internal scheme) for the spatial hot paths.
 //!
 //! The std default `SipHash` is DoS-resistant but several times slower on
-//! the small fixed-width keys these crates hash by the million — grid cell
-//! coordinates and layout points. Nothing here hashes attacker-controlled
+//! the small fixed-width keys these crates hash by the million — layout
+//! points and interned ids. Nothing here hashes attacker-controlled
 //! data, and a fixed (non-random) state additionally makes every map/set
 //! iteration order deterministic across runs.
 

@@ -1,51 +1,72 @@
-use crate::fxhash::FxHashMap;
+/// An inclusive axis-aligned bounding range `(x_lo, y_lo, x_hi, y_hi)`.
+type Bbox = (i64, i64, i64, i64);
 
-/// A uniform spatial hash over `i64` space.
+/// An immutable uniform grid over `i64` space, stored as a sorted-cell
+/// CSR table.
 ///
-/// Items are inserted with an axis-aligned bounding range and can then be
-/// queried for candidate neighbours. The index is the backbone of both
-/// overlapping-shifter extraction and edge-crossing detection, which would
-/// otherwise be quadratic on full-chip inputs.
+/// All items are given at once to [`GridIndex::from_boxes`], each with an
+/// inclusive bounding range; the item's id is its position in that list.
+/// The index is the backbone of overlapping-shifter extraction,
+/// edge-crossing detection and layout validation, which would otherwise be
+/// quadratic on full-chip inputs.
 ///
-/// The cell size should be on the order of the query interaction distance
-/// (e.g. the shifter spacing rule, or the typical edge length); queries then
-/// touch O(1) cells per item in well-behaved layouts.
+/// The cell size should be on the order of the interaction distance (e.g.
+/// the shifter spacing rule, or the typical edge length); an item then
+/// covers O(1) cells in well-behaved layouts.
 ///
-/// # Streaming pair enumeration
+/// # Layout
 ///
-/// Pair traversal is *streaming*: [`GridIndex::for_each_candidate_pair`]
-/// visits every intersecting pair exactly once without materializing the
-/// pair set, and [`GridIndex::shards`] partitions the occupied cells into
-/// contiguous bands so disjoint slices of the traversal can run on worker
-/// threads ([`GridIndex::par_collect_pairs`]). Exactly-once reporting
-/// needs no dedup set: a pair is *owned* by the single cell containing the
-/// min-corner of its boxes' intersection, and only that cell reports it.
+/// Every (cell, item) incidence is one entry. The build sorts the entries
+/// by `(cell x, cell y, id)` and splits them into the sorted, unique
+/// occupied cell keys, a `starts` offset table and one flat `ids` array:
+/// cell `k` holds `ids[starts[k]..starts[k + 1]]`, ascending. Memory is
+/// O(entries + occupied cells) whatever the coordinate extent, so two
+/// boxes at opposite ends of the `i32` range with a one-dbu cell cost no
+/// more than two neighbouring ones.
+///
+/// # Exactly-once reporting
+///
+/// Neither traversal needs a dedup set. A result is *owned* by the single
+/// cell containing the min-corner of an intersection, and only that cell
+/// reports it:
+///
+/// * [`GridIndex::query`] reports an item from the cell holding the
+///   min-corner of the item's box ∩ the query box — allocation-free,
+///   visiting only the occupied cells in the window;
+/// * [`GridIndex::for_each_candidate_pair`] reports a pair from the cell
+///   holding the min-corner of the two boxes' intersection, streaming
+///   without materializing the pair set. [`GridIndex::shards`] cuts the
+///   occupied cells into contiguous bands so disjoint slices of that
+///   traversal run on worker threads ([`GridIndex::par_collect_pairs`]).
 ///
 /// ```
 /// use aapsm_geom::GridIndex;
-/// let mut grid = GridIndex::new(256);
-/// grid.insert(0, (0, 0, 100, 100));
-/// grid.insert(1, (90, 90, 200, 200));
-/// grid.insert(2, (10_000, 10_000, 10_100, 10_100));
+/// let grid = GridIndex::from_boxes(
+///     256,
+///     [(0, 0, 100, 100), (90, 90, 200, 200), (10_000, 10_000, 10_100, 10_100)],
+/// );
 /// let mut pairs = grid.candidate_pairs();
 /// pairs.sort_unstable();
 /// assert_eq!(pairs, vec![(0, 1)]);
+/// let mut hits = Vec::new();
+/// grid.query((-50, -50, 95, 95), |id| hits.push(id));
+/// hits.sort_unstable();
+/// assert_eq!(hits, vec![0, 1]);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct GridIndex {
     cell: i64,
-    cells: FxHashMap<(i64, i64), Vec<u32>>,
-    /// Bounding ranges per inserted id, in insertion order.
-    boxes: Vec<(i64, i64, i64, i64)>,
-}
-
-/// Reusable dedup scratch for repeated [`GridIndex::query_into`] calls:
-/// an epoch-stamped per-item table, so consecutive queries cost nothing
-/// to reset.
-#[derive(Clone, Debug, Default)]
-pub struct QueryScratch {
-    stamp: Vec<u32>,
-    epoch: u32,
+    /// Occupied cell coordinates, sorted and unique.
+    keys: Vec<(i64, i64)>,
+    /// `keys.len() + 1` offsets into `ids`.
+    starts: Vec<usize>,
+    /// Column directory: `(cell x, first index into keys)` per occupied
+    /// column, ascending.
+    columns: Vec<(i64, usize)>,
+    /// Item ids per occupied cell, ascending within a cell.
+    ids: Vec<u32>,
+    /// Bounding range per item id.
+    boxes: Vec<Bbox>,
 }
 
 /// A partition of a grid's occupied cells into contiguous bands, produced
@@ -58,9 +79,8 @@ pub struct QueryScratch {
 /// traversal — the basis of the parallel detection front-end.
 #[derive(Clone, Debug)]
 pub struct GridShards {
-    keys: Vec<(i64, i64)>,
-    /// `count() + 1` offsets into `keys`; shard `s` covers
-    /// `keys[bounds[s]..bounds[s + 1]]`.
+    /// `count() + 1` offsets into the grid's occupied cells; shard `s`
+    /// covers cells `bounds[s]..bounds[s + 1]`.
     bounds: Vec<usize>,
 }
 
@@ -224,21 +244,94 @@ where
 }
 
 impl GridIndex {
-    /// Creates an index with the given cell size (dbu).
+    /// Builds the index over `boxes` with the given cell size (dbu); item
+    /// `i` is the `i`-th box.
+    ///
+    /// Costs one sort of the (cell, item) entries: O(E log E) time and
+    /// O(E) memory for E entries, whatever the coordinate extent — a
+    /// counting sort over the cell range would not be (a one-dbu cell over
+    /// the sanitized `i32` coordinate range spans 2^32 columns). When the
+    /// occupied cell hull has at most 2^32 cells, which covers any
+    /// realistic cell size, each entry packs into one `u64` sort key.
     ///
     /// # Panics
     ///
-    /// Panics if `cell_size <= 0`.
-    pub fn new(cell_size: i64) -> Self {
+    /// Panics if `cell_size <= 0`, a range is inverted, or there are more
+    /// than `u32::MAX` boxes.
+    pub fn from_boxes(cell_size: i64, boxes: impl IntoIterator<Item = Bbox>) -> Self {
         assert!(cell_size > 0, "cell size must be positive");
-        GridIndex {
-            cell: cell_size,
-            cells: FxHashMap::default(),
-            boxes: Vec::new(),
+        let boxes: Vec<Bbox> = boxes.into_iter().collect();
+        assert!(u32::try_from(boxes.len()).is_ok(), "too many boxes");
+        let mut entry_count = 0usize;
+        let mut hull: Option<Bbox> = None;
+        for bx in &boxes {
+            assert!(bx.0 <= bx.2 && bx.1 <= bx.3, "inverted bbox");
+            let r = cell_range(cell_size, bx);
+            let (w, h) = (
+                span(r.0, r.2).saturating_add(1),
+                span(r.1, r.3).saturating_add(1),
+            );
+            entry_count = entry_count.saturating_add(w.saturating_mul(h) as usize);
+            hull = Some(hull.map_or(r, |h| {
+                (h.0.min(r.0), h.1.min(r.1), h.2.max(r.2), h.3.max(r.3))
+            }));
         }
+        let mut grid = GridIndex {
+            cell: cell_size,
+            keys: Vec::new(),
+            starts: Vec::new(),
+            columns: Vec::new(),
+            ids: Vec::with_capacity(entry_count),
+            boxes: Vec::new(),
+        };
+        if let Some((x0, y0, x1, y1)) = hull {
+            let bits = |span: u64| u64::BITS - span.leading_zeros();
+            let (x_bits, y_bits) = (bits(span(x0, x1)), bits(span(y0, y1)));
+            if x_bits + y_bits <= 32 {
+                // (cell x offset, cell y offset, id) packed high to low.
+                let mut packed: Vec<u64> = Vec::with_capacity(entry_count);
+                for_each_entry(&boxes, cell_size, |cx, cy, id| {
+                    let cell = span(x0, cx) << y_bits | span(y0, cy);
+                    packed.push(cell << 32 | u64::from(id));
+                });
+                packed.sort_unstable();
+                let y_mask = (1u64 << y_bits) - 1;
+                grid.push_sorted(packed.into_iter().map(|e| {
+                    let cell = e >> 32;
+                    (
+                        x0.wrapping_add((cell >> y_bits) as i64),
+                        y0.wrapping_add((cell & y_mask) as i64),
+                        e as u32,
+                    )
+                }));
+            } else {
+                let mut entries: Vec<(i64, i64, u32)> = Vec::with_capacity(entry_count);
+                for_each_entry(&boxes, cell_size, |cx, cy, id| entries.push((cx, cy, id)));
+                entries.sort_unstable();
+                grid.push_sorted(entries.into_iter());
+            }
+        }
+        grid.boxes = boxes;
+        grid
     }
 
-    /// Number of inserted items.
+    /// Appends `(cell x, cell y, id)` entries sorted by that triple as the
+    /// CSR tables.
+    fn push_sorted(&mut self, entries: impl Iterator<Item = (i64, i64, u32)>) {
+        for (cx, cy, id) in entries {
+            if self.keys.last() != Some(&(cx, cy)) {
+                if self.columns.last().map(|c| c.0) != Some(cx) {
+                    self.columns.push((cx, self.keys.len()));
+                }
+                self.keys.push((cx, cy));
+                self.starts.push(self.ids.len());
+            }
+            self.ids.push(id);
+        }
+        self.starts.push(self.ids.len());
+    }
+
+    /// Number of indexed items.
     pub fn len(&self) -> usize {
         self.boxes.len()
     }
@@ -248,162 +341,68 @@ impl GridIndex {
         self.boxes.is_empty()
     }
 
-    fn cell_range(&self, bx: (i64, i64, i64, i64)) -> (i64, i64, i64, i64) {
-        let (x_lo, y_lo, x_hi, y_hi) = bx;
-        (
-            x_lo.div_euclid(self.cell),
-            y_lo.div_euclid(self.cell),
-            x_hi.div_euclid(self.cell),
-            y_hi.div_euclid(self.cell),
-        )
-    }
-
-    /// Inserts an item with bounding range `(x_lo, y_lo, x_hi, y_hi)`.
-    ///
-    /// `id` is expected to be the next sequential id (`self.len()`); items
-    /// are small integers so the pair enumeration can use dense bitsets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id != self.len()` or the range is inverted.
-    pub fn insert(&mut self, id: u32, bbox: (i64, i64, i64, i64)) {
-        assert_eq!(id as usize, self.boxes.len(), "ids must be sequential");
-        assert!(bbox.0 <= bbox.2 && bbox.1 <= bbox.3, "inverted bbox");
-        let (cx_lo, cy_lo, cx_hi, cy_hi) = self.cell_range(bbox);
-        for cx in cx_lo..=cx_hi {
-            for cy in cy_lo..=cy_hi {
-                self.cells.entry((cx, cy)).or_default().push(id);
-            }
-        }
-        self.boxes.push(bbox);
-    }
-
-    /// The bounding range an item was inserted (or last updated) with.
-    pub fn bbox(&self, id: u32) -> (i64, i64, i64, i64) {
+    /// The bounding range item `id` was indexed with.
+    pub fn bbox(&self, id: u32) -> Bbox {
         self.boxes[id as usize]
     }
 
     /// Hull of every item's bounding range (`None` when empty). Linear
     /// scan; callers clamping open-ended query regions pay it once per
     /// batch.
-    pub fn bounds(&self) -> Option<(i64, i64, i64, i64)> {
+    pub fn bounds(&self) -> Option<Bbox> {
         self.boxes
             .iter()
             .copied()
             .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1), a.2.max(b.2), a.3.max(b.3)))
     }
 
-    /// Moves an existing item to a new bounding range — the incremental
-    /// maintenance primitive of the re-detection pipeline: after an
-    /// end-to-end space insertion, only the boxes a cut shifts or
-    /// stretches are re-bucketed; everything on the low side keeps its
-    /// cells untouched. A no-op when the range (and thus the covered
-    /// cell set) is unchanged.
-    ///
-    /// The per-cell id order after an update differs from a from-scratch
-    /// build; queries and pair traversals are insensitive to it (queries
-    /// dedup, traversals sort their output), which is the only contract
-    /// callers get.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never inserted or the range is inverted.
-    pub fn update(&mut self, id: u32, bbox: (i64, i64, i64, i64)) {
-        assert!((id as usize) < self.boxes.len(), "unknown id {id}");
-        assert!(bbox.0 <= bbox.2 && bbox.1 <= bbox.3, "inverted bbox");
-        let old = self.boxes[id as usize];
-        if old == bbox {
-            return;
-        }
-        let old_range = self.cell_range(old);
-        let new_range = self.cell_range(bbox);
-        self.boxes[id as usize] = bbox;
-        if old_range == new_range {
-            return;
-        }
-        let (ox_lo, oy_lo, ox_hi, oy_hi) = old_range;
-        for cx in ox_lo..=ox_hi {
-            for cy in oy_lo..=oy_hi {
-                // Invariant, not an error path: insert populated every cell of `old_range`.
-                #[allow(clippy::expect_used)]
-                let cell = self.cells.get_mut(&(cx, cy)).expect("inserted cell exists");
-                #[allow(clippy::expect_used)] // Invariant: same insert-time coverage as above.
-                let at = cell
-                    .iter()
-                    .position(|&i| i == id)
-                    .expect("id present in covered cell");
-                cell.swap_remove(at);
-                if cell.is_empty() {
-                    self.cells.remove(&(cx, cy));
-                }
-            }
-        }
-        let (nx_lo, ny_lo, nx_hi, ny_hi) = new_range;
-        for cx in nx_lo..=nx_hi {
-            for cy in ny_lo..=ny_hi {
-                self.cells.entry((cx, cy)).or_default().push(id);
-            }
-        }
+    /// The ids stored in occupied cell `k`.
+    fn cell_ids(&self, k: usize) -> &[u32] {
+        &self.ids[self.starts[k]..self.starts[k + 1]]
     }
 
-    /// Ids of items whose bounding range intersects the query range
-    /// (deduplicated, unsorted).
+    /// Calls `f` once for every item whose bounding range touches `bbox`
+    /// (closed ranges: touching at an edge or corner counts), in
+    /// unspecified order.
     ///
-    /// Allocates one dense `bool` table per call — cheap enough for the
-    /// extraction hot path; batch callers issuing many queries (the
-    /// incremental re-detect's slab sweeps) should hold a
-    /// [`QueryScratch`] and use [`GridIndex::query_into`] instead.
-    pub fn query(&self, bbox: (i64, i64, i64, i64)) -> Vec<u32> {
-        let (cx_lo, cy_lo, cx_hi, cy_hi) = self.cell_range(bbox);
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.boxes.len()];
-        for cx in cx_lo..=cx_hi {
-            for cy in cy_lo..=cy_hi {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    for &id in ids {
-                        if !seen[id as usize] && ranges_touch(self.boxes[id as usize], bbox) {
-                            seen[id as usize] = true;
-                            out.push(id);
-                        }
-                    }
-                }
+    /// Exactly-once without a dedup table: an item is reported only by
+    /// the cell containing the min-corner of its range ∩ `bbox`. Both
+    /// ranges cover that cell, so it lies in the visited window and lists
+    /// the item. Visits only occupied cells, so a query far larger than
+    /// the grid costs O(occupied columns · log cells + cells + hits) and
+    /// allocates nothing.
+    pub fn query(&self, bbox: Bbox, mut f: impl FnMut(u32)) {
+        let cell = self.cell;
+        let (cx_lo, cy_lo) = (bbox.0.div_euclid(cell), bbox.1.div_euclid(cell));
+        let (cx_hi, cy_hi) = (bbox.2.div_euclid(cell), bbox.3.div_euclid(cell));
+        let first = self.columns.partition_point(|&(cx, _)| cx < cx_lo);
+        for (c, &(cx, start)) in self.columns.iter().enumerate().skip(first) {
+            if cx > cx_hi {
+                break;
             }
-        }
-        out
-    }
-
-    /// [`GridIndex::query`] into caller-owned buffers: `out` receives the
-    /// deduplicated ids, `scratch` carries the epoch-stamped dedup table
-    /// across calls so a query costs O(cells touched + hits) instead of
-    /// O(items indexed) — the difference between an incremental re-detect
-    /// sweep being linear in the dirty region vs quadratic in the chip.
-    pub fn query_into(
-        &self,
-        bbox: (i64, i64, i64, i64),
-        scratch: &mut QueryScratch,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        if scratch.stamp.len() < self.boxes.len() {
-            scratch.stamp.resize(self.boxes.len(), 0);
-        }
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            scratch.stamp.fill(0);
-            scratch.epoch = 1;
-        }
-        let epoch = scratch.epoch;
-        let (cx_lo, cy_lo, cx_hi, cy_hi) = self.cell_range(bbox);
-        for cx in cx_lo..=cx_hi {
-            for cy in cy_lo..=cy_hi {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    for &id in ids {
-                        if scratch.stamp[id as usize] != epoch
-                            && ranges_touch(self.boxes[id as usize], bbox)
-                        {
-                            scratch.stamp[id as usize] = epoch;
-                            out.push(id);
-                        }
+            let end = self
+                .columns
+                .get(c + 1)
+                .map_or(self.keys.len(), |next| next.1);
+            let column = &self.keys[start..end];
+            let lo = start + column.partition_point(|&(_, cy)| cy < cy_lo);
+            for k in lo..end {
+                let cy = self.keys[k].1;
+                if cy > cy_hi {
+                    break;
+                }
+                // The owner's x is max(item's first column, cx_lo): on the
+                // window's first column every touching item is owned
+                // there, elsewhere only items starting in this column are
+                // (likewise for y).
+                let (first_x, first_y) = (cx == cx_lo, cy == cy_lo);
+                for &id in self.cell_ids(k) {
+                    let bx = self.boxes[id as usize];
+                    if ranges_touch(bx, bbox)
+                        && (first_x || bx.0.div_euclid(cell) == cx)
+                        && (first_y || bx.1.div_euclid(cell) == cy)
+                    {
+                        f(id);
                     }
                 }
             }
@@ -425,34 +424,34 @@ impl GridIndex {
     /// Partitions the occupied cells into at most `count` contiguous bands
     /// of near-equal cell population (lexicographic cell order).
     pub fn shards(&self, count: usize) -> GridShards {
-        let mut keys: Vec<(i64, i64)> = self.cells.keys().copied().collect();
-        keys.sort_unstable();
-        let count = count.clamp(1, keys.len().max(1));
-        let bounds = (0..=count).map(|s| s * keys.len() / count).collect();
-        GridShards { keys, bounds }
+        let cells = self.keys.len();
+        let count = count.clamp(1, cells.max(1));
+        let bounds = (0..=count).map(|s| s * cells / count).collect();
+        GridShards { bounds }
     }
 
     /// Streams the candidate pairs owned by shard `shard` of `shards`, in
-    /// deterministic (cell, insertion) order. Each intersecting pair `(i, j)`
+    /// deterministic (cell, id) order. Each intersecting pair `(i, j)`
     /// with `i < j` is reported by exactly one shard, exactly once.
     ///
     /// # Panics
     ///
-    /// Panics if `shard >= shards.count()` or `shards` came from a
-    /// different (or since-mutated) index.
+    /// Panics if `shard >= shards.count()`. `shards` must come from this
+    /// index.
     pub fn for_each_candidate_pair_in_shard(
         &self,
         shards: &GridShards,
         shard: usize,
         mut f: impl FnMut(u32, u32),
     ) {
-        for key in &shards.keys[shards.bounds[shard]..shards.bounds[shard + 1]] {
-            let ids = &self.cells[key];
-            for (k, &i) in ids.iter().enumerate() {
-                for &j in &ids[k + 1..] {
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
+        for k in shards.bounds[shard]..shards.bounds[shard + 1] {
+            let key = self.keys[k];
+            let ids = self.cell_ids(k);
+            for (n, &a) in ids.iter().enumerate() {
+                for &b in &ids[n + 1..] {
+                    // Ids ascend within a cell, so `a < b`.
                     if ranges_touch(self.boxes[a as usize], self.boxes[b as usize])
-                        && self.owner_cell(a as usize, b as usize) == *key
+                        && self.owner_cell(a as usize, b as usize) == key
                     {
                         f(a, b);
                     }
@@ -498,7 +497,7 @@ impl GridIndex {
         F: Fn(u32, u32) -> Option<T> + Sync,
     {
         let workers = workers_for(parallelism, self.len());
-        if workers <= 1 || self.cells.len() <= 1 {
+        if workers <= 1 || self.keys.len() <= 1 {
             let mut out = Vec::new();
             self.for_each_candidate_pair(|a, b| out.extend(map(a, b)));
             return out;
@@ -522,7 +521,35 @@ impl GridIndex {
     }
 }
 
-fn ranges_touch(a: (i64, i64, i64, i64), b: (i64, i64, i64, i64)) -> bool {
+/// The inclusive range of cells `(x_lo, y_lo, x_hi, y_hi)` a box covers.
+fn cell_range(cell: i64, bx: &Bbox) -> Bbox {
+    (
+        bx.0.div_euclid(cell),
+        bx.1.div_euclid(cell),
+        bx.2.div_euclid(cell),
+        bx.3.div_euclid(cell),
+    )
+}
+
+/// Calls `f(cell x, cell y, id)` for every cell each box covers, in id
+/// order.
+fn for_each_entry(boxes: &[Bbox], cell: i64, mut f: impl FnMut(i64, i64, u32)) {
+    for (id, bx) in boxes.iter().enumerate() {
+        let (x_lo, y_lo, x_hi, y_hi) = cell_range(cell, bx);
+        for cx in x_lo..=x_hi {
+            for cy in y_lo..=y_hi {
+                f(cx, cy, id as u32);
+            }
+        }
+    }
+}
+
+/// `hi - lo` for `lo <= hi`, exact over the whole `i64` range.
+fn span(lo: i64, hi: i64) -> u64 {
+    hi.wrapping_sub(lo) as u64
+}
+
+fn ranges_touch(a: Bbox, b: Bbox) -> bool {
     a.0 <= b.2 && b.0 <= a.2 && a.1 <= b.3 && b.1 <= a.3
 }
 
@@ -530,7 +557,7 @@ fn ranges_touch(a: (i64, i64, i64, i64), b: (i64, i64, i64, i64)) -> bool {
 mod tests {
     use super::*;
 
-    fn brute_pairs(boxes: &[(i64, i64, i64, i64)]) -> Vec<(u32, u32)> {
+    fn brute_pairs(boxes: &[Bbox]) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for i in 0..boxes.len() {
             for j in i + 1..boxes.len() {
@@ -542,7 +569,13 @@ mod tests {
         out
     }
 
-    fn random_boxes(seed: u64, n: usize) -> Vec<(i64, i64, i64, i64)> {
+    fn brute_query(boxes: &[Bbox], probe: Bbox) -> Vec<u32> {
+        (0..boxes.len() as u32)
+            .filter(|&i| ranges_touch(boxes[i as usize], probe))
+            .collect()
+    }
+
+    fn random_boxes(seed: u64, n: usize) -> Vec<Bbox> {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..n)
@@ -556,14 +589,36 @@ mod tests {
             .collect()
     }
 
+    /// Sorted query hits, asserting no id is reported twice.
+    fn query_once(grid: &GridIndex, probe: Bbox) -> Vec<u32> {
+        let mut hits = Vec::new();
+        grid.query(probe, |id| hits.push(id));
+        hits.sort_unstable();
+        let len = hits.len();
+        hits.dedup();
+        assert_eq!(hits.len(), len, "an id was reported twice for {probe:?}");
+        hits
+    }
+
+    /// Pairs and queries of `grid` equal brute force over `boxes`.
+    fn assert_matches_brute(grid: &GridIndex, boxes: &[Bbox], probes: &[Bbox]) {
+        let mut got = grid.candidate_pairs();
+        got.sort_unstable();
+        assert_eq!(got, brute_pairs(boxes));
+        for &probe in probes {
+            assert_eq!(
+                query_once(grid, probe),
+                brute_query(boxes, probe),
+                "{probe:?}"
+            );
+        }
+    }
+
     #[test]
     fn pairs_match_brute_force() {
         for seed in 0..20 {
             let boxes = random_boxes(seed, 60);
-            let mut grid = GridIndex::new(128);
-            for (i, b) in boxes.iter().enumerate() {
-                grid.insert(i as u32, *b);
-            }
+            let grid = GridIndex::from_boxes(128, boxes.iter().copied());
             let mut got = grid.candidate_pairs();
             got.sort_unstable();
             let mut want = brute_pairs(&boxes);
@@ -576,10 +631,7 @@ mod tests {
     fn streaming_reports_each_pair_exactly_once() {
         for seed in [3u64, 17, 40] {
             let boxes = random_boxes(seed, 80);
-            let mut grid = GridIndex::new(100);
-            for (i, b) in boxes.iter().enumerate() {
-                grid.insert(i as u32, *b);
-            }
+            let grid = GridIndex::from_boxes(100, boxes.iter().copied());
             let mut counts: std::collections::HashMap<(u32, u32), usize> =
                 std::collections::HashMap::new();
             grid.for_each_candidate_pair(|a, b| {
@@ -598,10 +650,7 @@ mod tests {
     #[test]
     fn shards_partition_the_traversal() {
         let boxes = random_boxes(11, 120);
-        let mut grid = GridIndex::new(96);
-        for (i, b) in boxes.iter().enumerate() {
-            grid.insert(i as u32, *b);
-        }
+        let grid = GridIndex::from_boxes(96, boxes.iter().copied());
         let serial = grid.candidate_pairs();
         for count in [1, 2, 3, 5, 8, 1000] {
             let shards = grid.shards(count);
@@ -618,10 +667,7 @@ mod tests {
     #[test]
     fn par_collect_is_bit_identical_to_serial() {
         let boxes = random_boxes(29, 150);
-        let mut grid = GridIndex::new(128);
-        for (i, b) in boxes.iter().enumerate() {
-            grid.insert(i as u32, *b);
-        }
+        let grid = GridIndex::from_boxes(128, boxes.iter().copied());
         let serial = grid.par_collect_pairs(1, |a, b| Some((a, b)));
         assert_eq!(serial, grid.candidate_pairs());
         for parallelism in [0usize, 2, 4, 8] {
@@ -638,44 +684,112 @@ mod tests {
 
     #[test]
     fn query_finds_touching_items() {
-        let mut grid = GridIndex::new(100);
-        grid.insert(0, (0, 0, 50, 50));
-        grid.insert(1, (500, 500, 600, 600));
-        let mut hits = grid.query((40, 40, 60, 60));
-        hits.sort_unstable();
-        assert_eq!(hits, vec![0]);
+        let grid = GridIndex::from_boxes(100, [(0, 0, 50, 50), (500, 500, 600, 600)]);
+        assert_eq!(query_once(&grid, (40, 40, 60, 60)), vec![0]);
         // Touching at a corner counts.
-        assert_eq!(grid.query((50, 50, 70, 70)), vec![0]);
-        assert!(grid.query((200, 200, 210, 210)).is_empty());
+        assert_eq!(query_once(&grid, (50, 50, 70, 70)), vec![0]);
+        assert!(query_once(&grid, (200, 200, 210, 210)).is_empty());
+    }
+
+    /// The exactly-once query against brute force: random boxes probed by
+    /// random windows, windows larger than the whole grid, degenerate
+    /// (zero-width / zero-height) boxes on both sides, corner-only
+    /// contacts, all over negative and positive coordinates.
+    #[test]
+    fn query_reports_each_touching_item_exactly_once() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..12u64 {
+            let mut boxes = random_boxes(seed, 70);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+            for _ in 0..20 {
+                let (x, y) = (rng.gen_range(-1200..1200), rng.gen_range(-1200..1200));
+                let len = rng.gen_range(0..400);
+                boxes.push(match rng.gen_range(0..3) {
+                    0 => (x, y, x, y + len),
+                    1 => (x, y, x + len, y),
+                    _ => (x, y, x, y),
+                });
+            }
+            // Corner-only contacts with existing boxes, on both diagonals.
+            for i in 0..10 {
+                let (x0, y0, x1, y1) = boxes[i];
+                boxes.push((x1, y1, x1 + 37, y1 + 41));
+                boxes.push((x0 - 53, y1, x0, y1 + 29));
+                boxes.push((x1, y0 - 31, x1 + 17, y0));
+            }
+            for cell in [5i64, 64, 250, 5000] {
+                let grid = GridIndex::from_boxes(cell, boxes.iter().copied());
+                let mut probes: Vec<Bbox> = vec![
+                    (i64::MIN / 2, i64::MIN / 2, i64::MAX / 2, i64::MAX / 2),
+                    (-5000, -5000, 5000, 5000),
+                    (-1000, 0, 1000, 0),
+                    (0, -1000, 0, 1000),
+                ];
+                for _ in 0..40 {
+                    let (x, y) = (rng.gen_range(-1500..1500), rng.gen_range(-1500..1500));
+                    let (w, h) = (rng.gen_range(0..600), rng.gen_range(0..600));
+                    probes.push((x, y, x + w, y + h));
+                }
+                // Probes that touch boxes only at corners or edges.
+                for &(x0, y0, x1, y1) in boxes.iter().take(15) {
+                    probes.push((x1, y1, x1 + 10, y1 + 10));
+                    probes.push((x0 - 10, y0 - 10, x0, y0));
+                    probes.push((x1, y0, x1, y1));
+                }
+                assert_matches_brute(&grid, &boxes, &probes);
+            }
+        }
     }
 
     #[test]
     fn negative_coordinates_work() {
-        let mut grid = GridIndex::new(64);
-        grid.insert(0, (-500, -500, -400, -400));
-        grid.insert(1, (-450, -450, -300, -300));
+        let grid = GridIndex::from_boxes(64, [(-500, -500, -400, -400), (-450, -450, -300, -300)]);
         assert_eq!(grid.candidate_pairs(), vec![(0, 1)]);
     }
 
+    /// Build memory follows the occupied cells, not the coordinate extent:
+    /// two boxes at opposite sanitize limits on a one-dbu grid span 2^32
+    /// cells per axis, yet build and answer like brute force.
     #[test]
-    #[should_panic(expected = "sequential")]
-    fn rejects_nonsequential_ids() {
-        let mut grid = GridIndex::new(10);
-        grid.insert(3, (0, 0, 1, 1));
+    fn sparse_extreme_extent_builds_in_entry_memory() {
+        let limit = i64::from(i32::MAX) - 1000;
+        let boxes = vec![
+            (-limit, -limit, -limit + 3, -limit + 2),
+            (limit - 2, limit - 3, limit, limit),
+            (-limit + 3, -limit + 2, -limit + 5, -limit + 9),
+        ];
+        let grid = GridIndex::from_boxes(1, boxes.iter().copied());
+        assert_eq!(grid.keys.len(), 4 * 3 + 3 * 4 + 3 * 8 - 1);
+        assert_eq!(grid.bounds(), Some((-limit, -limit, limit, limit)));
+        let probes = [
+            (-limit, -limit, limit, limit),
+            (i64::MIN / 2, i64::MIN / 2, i64::MAX / 2, i64::MAX / 2),
+            (-limit + 3, -limit + 2, -limit + 3, -limit + 2),
+            (limit, limit, limit + 5, limit + 5),
+            (0, 0, 0, 0),
+        ];
+        assert_matches_brute(&grid, &boxes, &probes);
+        assert_eq!(grid.candidate_pairs(), vec![(0, 2)]);
     }
 
     #[test]
-    fn update_rebuckets_moved_items() {
+    #[should_panic(expected = "inverted")]
+    fn rejects_inverted_boxes() {
+        GridIndex::from_boxes(10, [(0, 0, 1, 1), (5, 5, 4, 6)]);
+    }
+
+    /// Successor of the per-item `update` test: an end-to-end cut moves
+    /// and stretches boxes, and a grid built from the moved boxes answers
+    /// pairs and queries like a fresh build of the same boxes at another
+    /// cell size and like brute force.
+    #[test]
+    fn rebuild_after_cut_matches_fresh_and_brute_force() {
         let boxes = random_boxes(51, 70);
-        let mut grid = GridIndex::new(96);
-        for (i, b) in boxes.iter().enumerate() {
-            grid.insert(i as u32, *b);
-        }
         // Shift the upper half as an end-to-end cut would, stretch one
         // straddler, leave the rest alone.
         let cut = 0i64;
         let width = 500i64;
-        let moved: Vec<(i64, i64, i64, i64)> = boxes
+        let moved: Vec<Bbox> = boxes
             .iter()
             .map(|&(x0, y0, x1, y1)| {
                 if x0 >= cut {
@@ -687,33 +801,25 @@ mod tests {
                 }
             })
             .collect();
+        let grid = GridIndex::from_boxes(96, moved.iter().copied());
         for (i, b) in moved.iter().enumerate() {
-            grid.update(i as u32, *b);
             assert_eq!(grid.bbox(i as u32), *b);
         }
-        // The updated index answers pairs exactly like a fresh build.
-        let mut fresh = GridIndex::new(96);
-        for (i, b) in moved.iter().enumerate() {
-            fresh.insert(i as u32, *b);
+        let fresh = GridIndex::from_boxes(40, moved.iter().copied());
+        let mut a = grid.candidate_pairs();
+        let mut b = fresh.candidate_pairs();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b);
+        let probes = [
+            (-400, -400, 0, 0),
+            (600, -200, 900, 400),
+            (0, -2000, 0, 2000),
+        ];
+        for &probe in &probes {
+            assert_eq!(query_once(&grid, probe), query_once(&fresh, probe));
         }
-        let mut got = grid.candidate_pairs();
-        got.sort_unstable();
-        let mut want = fresh.candidate_pairs();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert_eq!(want, {
-            let mut brute = brute_pairs(&moved);
-            brute.sort_unstable();
-            brute
-        });
-        // Queries agree too (as sets).
-        for probe in [(-400, -400, 0, 0), (600, -200, 900, 400)] {
-            let mut a = grid.query(probe);
-            let mut b = fresh.query(probe);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
+        assert_matches_brute(&grid, &moved, &probes);
     }
 
     #[test]
@@ -794,15 +900,11 @@ mod tests {
     }
 
     #[test]
-    fn update_same_bbox_is_noop_and_bounds_track_hull() {
-        let mut grid = GridIndex::new(64);
-        grid.insert(0, (0, 0, 10, 10));
-        grid.insert(1, (100, 100, 120, 130));
-        assert_eq!(grid.bounds(), Some((0, 0, 120, 130)));
-        grid.update(0, (0, 0, 10, 10));
-        grid.update(1, (200, 100, 220, 130));
+    fn bounds_track_hull() {
+        assert_eq!(GridIndex::from_boxes(64, []).bounds(), None);
+        let grid = GridIndex::from_boxes(64, [(0, 0, 10, 10), (200, 100, 220, 130)]);
         assert_eq!(grid.bounds(), Some((0, 0, 220, 130)));
-        assert_eq!(grid.query((205, 105, 210, 110)), vec![1]);
-        assert!(grid.query((100, 100, 120, 130)).is_empty());
+        assert_eq!(query_once(&grid, (205, 105, 210, 110)), vec![1]);
+        assert!(query_once(&grid, (100, 100, 120, 130)).is_empty());
     }
 }

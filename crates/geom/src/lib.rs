@@ -12,9 +12,10 @@
 //! * [`Rect`] — an axis-aligned rectangle with exact gap/distance queries,
 //! * [`Segment`] — a line segment with exact crossing predicates (the
 //!   workhorse of planar-embedding crossing detection),
-//! * [`GridIndex`] — a uniform spatial hash used to find interacting pairs
-//!   among hundreds of thousands of shifters or graph edges in near-linear
-//!   time.
+//! * [`GridIndex`] — an immutable uniform grid in sorted-cell CSR form,
+//!   used to find interacting pairs among hundreds of thousands of
+//!   shifters or graph edges in near-linear time, with one exactly-once,
+//!   allocation-free window query.
 //!
 //! # Example
 //!
@@ -43,9 +44,7 @@ mod soa;
 
 pub use dirty::{CutSpec, DirtyRegions};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use grid::{
-    par_map_indexed, resolve_workers, workers_for, GridIndex, GridShards, QueryScratch,
-};
+pub use grid::{par_map_indexed, resolve_workers, workers_for, GridIndex, GridShards};
 pub use interval::Interval;
 pub use point::{Orientation, Point};
 pub use rect::{Axis, Rect};

@@ -95,12 +95,10 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
     // (bit-identical to [`aapsm_geom::Segment::crosses`]) instead of
     // chasing node positions through the graph per probe.
     let mut segs = SegmentSoA::with_capacity(alive.len());
-    let mut grid = GridIndex::new(cell);
-    for (i, &e) in alive.iter().enumerate() {
+    for &e in &alive {
         segs.push(&g.segment(e));
-        let (x_lo, y_lo, x_hi, y_hi) = g.segment(e).bbox_ranges();
-        grid.insert(i as u32, (x_lo, y_lo, x_hi, y_hi));
     }
+    let grid = GridIndex::from_boxes(cell, alive.iter().map(|&e| g.segment(e).bbox_ranges()));
     let segs = &segs;
     let mut pairs = grid.par_collect_pairs(parallelism, |ia, ib| {
         // Edges sharing a graph node share that segment endpoint, which
@@ -246,23 +244,22 @@ pub fn crossing_pairs_incremental(
         grid_cell(new_g, new_g.all_edges())
     };
     if let Some(cell) = cell {
-        let mut grid = GridIndex::new(cell);
-        // Packed endpoints indexed by edge id — same locality win as the
-        // from-scratch sweep (every edge is alive here by contract, so
-        // ids are dense).
+        // Packed endpoints and grid ids indexed by edge id — same locality
+        // win as the from-scratch sweep (every edge is alive here by
+        // contract, so ids are dense).
         let mut segs = SegmentSoA::with_capacity(edge_count);
         for e in new_g.all_edges() {
             segs.push(&new_g.segment(e));
-            grid.insert(e.0, new_g.segment(e).bbox_ranges());
         }
-        let mut scratch = aapsm_geom::QueryScratch::default();
-        let mut found = Vec::new();
+        let grid = GridIndex::from_boxes(
+            cell,
+            new_g.all_edges().map(|e| new_g.segment(e).bbox_ranges()),
+        );
         for &s in &suspects {
-            grid.query_into(grid.bbox(s.0), &mut scratch, &mut found);
-            for &partner in &found {
+            grid.query(grid.bbox(s.0), |partner| {
                 let p = EdgeId(partner);
                 if p == s || (suspect[p.index()] && p.index() < s.index()) {
-                    continue;
+                    return;
                 }
                 if segs.crosses(s.index(), p.index()) {
                     let (lo, hi) = if s.index() < p.index() {
@@ -272,7 +269,7 @@ pub fn crossing_pairs_incremental(
                     };
                     pairs.push((lo, hi));
                 }
-            }
+            });
         }
     }
 

@@ -38,11 +38,11 @@
 //!    only possible for cuts the correction planner would never emit)
 //!    and any rect that fails to match its predicted post-cut image
 //!    trigger a full re-extraction fallback instead of wrong reuse.
-//! 5. **Grid maintenance is translate-and-reinsert.** Only boxes a cut
-//!    moves or stretches are re-bucketed ([`GridIndex::update`]); boxes
-//!    below every cut keep their cells. The per-cell order therefore
-//!    differs from a fresh build, which queries and verdicts tolerate by
-//!    contract.
+//! 5. **Spatial indices are rebuilt, not maintained.** The state keeps
+//!    only the geometry; each call builds the shifter and feature grids
+//!    from the post-cut boxes ([`GridIndex::from_boxes`], one sort, no
+//!    per-item moves), so the indices the rescan queries are exactly the
+//!    ones a from-scratch extraction would build.
 
 use crate::phase_geom::{
     canonicalize_constraints, classify_features, feature_box, scan_pair, shifter_probe, ScanHit,
@@ -50,14 +50,21 @@ use crate::phase_geom::{
 use crate::{DesignRules, Layout, PhaseGeometry, SpaceCut};
 use aapsm_geom::{Axis, CutSpec, DirtyRegions, GridIndex, RectSoA};
 
-/// Retained extraction state: the geometry of the last extracted layout
-/// plus the spatial indices that produced it.
+/// Retained extraction state: the geometry of the last extracted layout.
 #[derive(Clone, Debug)]
 pub struct ExtractState {
     geom: PhaseGeometry,
-    shifter_grid: GridIndex,
-    feature_grid: GridIndex,
     radius: i64,
+}
+
+/// The shifter-probe and feature grids of an extraction: one cell size of
+/// twice the interaction radius (at least 64 dbu) for both.
+fn extraction_grids(geom: &PhaseGeometry, radius: i64) -> (GridIndex, GridIndex) {
+    let cell = (radius * 2).max(64);
+    (
+        GridIndex::from_boxes(cell, geom.shifters.iter().map(|s| shifter_probe(s, radius))),
+        GridIndex::from_boxes(cell, geom.features.iter().map(feature_box)),
+    )
 }
 
 /// What one [`ExtractState::incremental`] call did, including the overlap
@@ -87,7 +94,7 @@ pub fn dirty_regions_for(cuts: &[SpaceCut]) -> DirtyRegions {
 }
 
 impl ExtractState {
-    /// From-scratch extraction, retaining the spatial indices.
+    /// From-scratch extraction.
     ///
     /// This *is* the canonical extractor —
     /// [`crate::extract_phase_geometry_par`] delegates here — so the
@@ -95,15 +102,7 @@ impl ExtractState {
     pub fn full(layout: &Layout, rules: &DesignRules, parallelism: usize) -> ExtractState {
         let mut geom = classify_features(layout, rules);
         let radius = rules.interaction_radius();
-        let cell = (radius * 2).max(64);
-        let mut shifter_grid = GridIndex::new(cell);
-        for (i, s) in geom.shifters.iter().enumerate() {
-            shifter_grid.insert(i as u32, shifter_probe(s, radius));
-        }
-        let mut feature_grid = GridIndex::new(cell);
-        for (i, f) in geom.features.iter().enumerate() {
-            feature_grid.insert(i as u32, feature_box(f));
-        }
+        let (shifter_grid, feature_grid) = extraction_grids(&geom, radius);
 
         let spacing_sq = (rules.shifter_spacing as i128) * (rules.shifter_spacing as i128);
         let shifters = &geom.shifters;
@@ -128,12 +127,7 @@ impl ExtractState {
             }
         }
         canonicalize_constraints(&mut geom);
-        ExtractState {
-            geom,
-            shifter_grid,
-            feature_grid,
-            radius,
-        }
+        ExtractState { geom, radius }
     }
 
     /// The extracted geometry.
@@ -235,14 +229,8 @@ impl ExtractState {
             return self.rebuild_full(modified, rules, parallelism);
         }
 
-        // ---- Grid maintenance: re-bucket only moved/stretched boxes. ----
-        for (i, s) in fresh.shifters.iter().enumerate() {
-            self.shifter_grid
-                .update(i as u32, shifter_probe(s, self.radius));
-        }
-        for (i, f) in fresh.features.iter().enumerate() {
-            self.feature_grid.update(i as u32, feature_box(f));
-        }
+        // ---- Spatial indices over the post-cut boxes. ----
+        let (shifter_grid, feature_grid) = extraction_grids(&fresh, self.radius);
 
         // ---- Reused constraints: rigid pairs carry over verbatim. ----
         let old_overlap_count = self.geom.overlaps.len();
@@ -274,21 +262,14 @@ impl ExtractState {
         // ---- Dirty candidates: pairs with a probe touching a slab. ----
         let spacing_sq = (rules.shifter_spacing as i128) * (rules.shifter_spacing as i128);
         let fresh_boxes = RectSoA::from_rects(fresh.shifters.iter().map(|s| &s.rect));
-        let mut scratch = aapsm_geom::QueryScratch::default();
-        let mut found = Vec::new();
         let mut near_slab = vec![false; fresh.shifters.len()];
-        if let Some((bx_lo, by_lo, bx_hi, by_hi)) = self.shifter_grid.bounds() {
+        if let Some((bx_lo, by_lo, bx_hi, by_hi)) = shifter_grid.bounds() {
             for region in dirty
                 .slabs(Axis::X)
                 .map(|(lo, hi)| (lo, by_lo, hi, by_hi))
                 .chain(dirty.slabs(Axis::Y).map(|(lo, hi)| (bx_lo, lo, bx_hi, hi)))
-                .collect::<Vec<_>>()
             {
-                self.shifter_grid
-                    .query_into(region, &mut scratch, &mut found);
-                for &id in &found {
-                    near_slab[id as usize] = true;
-                }
+                shifter_grid.query(region, |id| near_slab[id as usize] = true);
             }
         }
         let mut rescanned = 0usize;
@@ -297,15 +278,10 @@ impl ExtractState {
             if !near_slab[s] {
                 continue;
             }
-            self.shifter_grid.query_into(
-                self.shifter_grid.bbox(s as u32),
-                &mut scratch,
-                &mut found,
-            );
-            for &p in &found {
+            shifter_grid.query(shifter_grid.bbox(s as u32), |p| {
                 let p = p as usize;
                 if p == s || (near_slab[p] && p < s) {
-                    continue;
+                    return;
                 }
                 let hull = fresh.shifters[s].rect.hull(&fresh.shifters[p].rect);
                 if !dirty.post_bbox_touches_slab((
@@ -314,20 +290,20 @@ impl ExtractState {
                     hull.x_hi(),
                     hull.y_hi(),
                 )) {
-                    continue; // rigid pair: covered by reuse
+                    return; // rigid pair: covered by reuse
                 }
                 rescanned += 1;
                 hits.extend(scan_pair(
                     &fresh.shifters,
                     &fresh_boxes,
                     &fresh.features,
-                    &self.feature_grid,
+                    &feature_grid,
                     rules,
                     spacing_sq,
                     s,
                     p,
                 ));
-            }
+            });
         }
 
         // ---- Merge into canonical order and build the index maps. ----

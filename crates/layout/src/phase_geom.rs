@@ -375,20 +375,22 @@ fn corridor_blocked(
         return false;
     };
     // Collect the perpendicular spans covered by features in the corridor.
-    let mut covered: Vec<(i64, i64)> = feature_grid
-        .query((
+    let mut covered: Vec<(i64, i64)> = Vec::new();
+    feature_grid.query(
+        (
             corridor.x_lo(),
             corridor.y_lo(),
             corridor.x_hi(),
             corridor.y_hi(),
-        ))
-        .into_iter()
-        .filter(|&fi| features[fi as usize].rect.overlaps(&corridor))
-        .map(|fi| {
-            let span = features[fi as usize].rect.span(axis.perp());
-            (span.lo().max(perp.lo()), span.hi().min(perp.hi()))
-        })
-        .collect();
+        ),
+        |fi| {
+            let rect = &features[fi as usize].rect;
+            if rect.overlaps(&corridor) {
+                let span = rect.span(axis.perp());
+                covered.push((span.lo().max(perp.lo()), span.hi().min(perp.hi())));
+            }
+        },
+    );
     if covered.is_empty() {
         return false;
     }
