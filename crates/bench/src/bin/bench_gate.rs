@@ -9,10 +9,12 @@
 //! `BENCH_GATE_FLOOR_MS`, and the active value is logged in each gate
 //! header) are reported but never gated — small timings are scheduler
 //! noise, not signal. Throughput (`req_per_sec`) gates in the opposite
-//! direction: a drop beyond the threshold fails. Behavior counters
-//! (`*_picks` — the T-join engine choices the auto-selection made) are
-//! gated for **exact equality**: a method-mix drift is a behavior
-//! change, not timing noise, so no threshold or floor applies.
+//! direction: a drop beyond the threshold fails. Behavior counters are
+//! gated for **exact equality**: `*_picks` (the T-join engine choices the
+//! auto-selection made) and the correction planner's `plan_weight`,
+//! `grid_lines`, `cover_optimal_components` and `cover_nodes` (the cover
+//! branch-and-bound's deterministic work). A drift in any of them is a
+//! behavior change, not timing noise, so no threshold or floor applies.
 //!
 //! The parser below is a minimal recursive-descent JSON reader (the
 //! build environment has no registry access for serde); it accepts
@@ -239,13 +241,21 @@ enum Gate {
     Exact,
 }
 
+/// Correction-plan counters gated for exact equality beside `*_picks`.
+const EXACT_FIELDS: [&str; 4] = [
+    "plan_weight",
+    "grid_lines",
+    "cover_optimal_components",
+    "cover_nodes",
+];
+
 /// Flattens every gateable metric of a snapshot into `path → (value, gate)`.
 fn metrics(root: &Value) -> BTreeMap<String, (f64, Gate)> {
     let mut out = BTreeMap::new();
     let field_gate = |key: &str| {
         if key.ends_with("_ms") {
             Some(Gate::SmallerBetter)
-        } else if key.ends_with("_picks") {
+        } else if key.ends_with("_picks") || EXACT_FIELDS.contains(&key) {
             Some(Gate::Exact)
         } else {
             None

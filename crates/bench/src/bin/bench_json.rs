@@ -400,7 +400,7 @@ fn main() {
                 "\"speedup\": {:.3}, ",
                 "\"plan_weight\": {}, \"grid_lines\": {}, ",
                 "\"cover_components\": {}, \"cover_optimal_components\": {}, ",
-                "\"cover_optimal\": {}, ",
+                "\"cover_optimal\": {}, \"cover_nodes\": {}, ",
                 "\"identical\": true}}"
             ),
             correction_serial_s * 1e3,
@@ -411,6 +411,7 @@ fn main() {
             plan_serial.cover_components,
             plan_serial.cover_optimal_components,
             plan_serial.cover_optimal,
+            plan_serial.cover_nodes,
         ));
         stage_json.push(format!(
             concat!(

@@ -90,6 +90,10 @@ pub struct CorrectionPlan {
     /// component's exact search ran to completion. Never `true` when a
     /// search was truncated by the node budget or fell back to greedy.
     pub cover_optimal: bool,
+    /// Cover branch-and-bound nodes summed over the components
+    /// ([`aapsm_cover::DecomposedCover::nodes`]): the planner's
+    /// deterministic work counter.
+    pub cover_nodes: u64,
 }
 
 impl CorrectionPlan {
@@ -159,6 +163,7 @@ pub fn plan_correction(
             cover_components: 0,
             cover_optimal_components: 0,
             cover_optimal: true,
+            cover_nodes: 0,
         };
     }
     // Forbidden spans per axis: a cut may not pass through the interior of
@@ -452,6 +457,7 @@ pub fn plan_correction(
         cover_components: cover.components,
         cover_optimal_components: cover.optimal_components,
         cover_optimal: cover.optimal,
+        cover_nodes: cover.nodes,
     }
 }
 

@@ -18,7 +18,8 @@ use aapsm_core::{
     detect_conflicts, plan_correction, ConstraintKind, CorrectionOptions, CorrectionPlan,
     DetectConfig,
 };
-use aapsm_layout::synth::{generate, SynthParams};
+use aapsm_geom::Axis;
+use aapsm_layout::synth::{generate, scaling_suite, SynthParams};
 use aapsm_layout::{
     apply_cuts, extract_phase_geometry, fixtures, DesignRules, Layout, PhaseGeometry, Side,
 };
@@ -172,6 +173,41 @@ fn cover_optimality_is_monotone_in_the_node_budget_on_fixtures() {
             );
             prev_proven = plan.cover_optimal_components;
         }
+    }
+}
+
+/// The scaling suite's mid-size designs carry large components full of
+/// duplicate grid-line candidates; sibling dominance proves them at the
+/// default node limit with the plans a truncated search used to return.
+#[test]
+fn scaling_suite_plans_are_proven_at_default_options() {
+    let rules = DesignRules::default();
+    let suite = scaling_suite();
+    for (name, plan_weight, grid_lines) in [("rows_x4", 18097, 107), ("rows_x16", 55824, 285)] {
+        let design = suite
+            .iter()
+            .find(|d| d.name == name)
+            .expect("design is in the scaling suite");
+        let layout = generate(&design.params, &rules);
+        let geom = extract_phase_geometry(&layout, &rules);
+        let report = detect_conflicts(&geom, &DetectConfig::default());
+        let plan = plan_correction(
+            &geom,
+            &report.conflicts,
+            &rules,
+            &CorrectionOptions::default(),
+        );
+        assert!(
+            plan.cover_optimal,
+            "{name}: {} of {} cover components proven",
+            plan.cover_optimal_components, plan.cover_components
+        );
+        assert_eq!(
+            plan.inserted_width(Axis::X) + plan.inserted_width(Axis::Y),
+            plan_weight,
+            "{name}: plan weight"
+        );
+        assert_eq!(plan.grid_line_count(), grid_lines, "{name}: grid lines");
     }
 }
 

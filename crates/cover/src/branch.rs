@@ -14,6 +14,10 @@ pub struct ExactCover {
     pub solution: CoverSolution,
     /// Whether the search completed, proving `solution` optimal.
     pub proven: bool,
+    /// Search nodes visited, each charged one [`Stage::Cover`] tick. A
+    /// deterministic work counter: a truncated search counts the node that
+    /// hit the limit.
+    pub nodes: u64,
 }
 
 /// Tuning knobs for the exact branch-and-bound solver.
@@ -80,6 +84,30 @@ impl Search<'_> {
         bound
     }
 
+    /// Sibling dominance: whether some banned set `t` covering `pivot` has
+    /// `w(t) ≤ w(s)` and covers every still-uncovered element of `s`.
+    ///
+    /// Every banned set was banned after its include-subtree was fully
+    /// searched — or, if it was itself skipped, after a set dominating it
+    /// was. So any cover through `s` here maps (swap `s` for `t`) to a
+    /// cover of no greater weight that the search has already found or
+    /// bounded away. The search keeps only strict improvements, so `s`'s
+    /// subtree cannot change the incumbent. A dominating `t` must cover the
+    /// pivot (an uncovered element of `s`), so only the pivot's sets are
+    /// scanned.
+    fn dominated(&self, s: usize, pivot: usize, covered: &[bool], banned: &[bool]) -> bool {
+        let w = self.inst.weight(s);
+        self.inst.covering_sets(pivot).iter().any(|&t| {
+            banned[t]
+                && self.inst.weight(t) <= w
+                && self
+                    .inst
+                    .elements(s)
+                    .iter()
+                    .all(|&e| covered[e] || self.inst.elements(t).binary_search(&e).is_ok())
+        })
+    }
+
     fn dfs(
         &mut self,
         covered: &mut [bool],
@@ -138,25 +166,29 @@ impl Search<'_> {
         candidates.sort_by_key(|&s| (self.inst.weight(s), s));
         let mut newly_banned = Vec::new();
         for &s in &candidates {
-            // Include s.
-            let newly_covered: Vec<usize> = self
-                .inst
-                .elements(s)
-                .iter()
-                .copied()
-                .filter(|&e| !covered[e])
-                .collect();
-            for &e in &newly_covered {
-                covered[e] = true;
-            }
-            chosen.push(s);
-            self.dfs(covered, banned, chosen, weight + self.inst.weight(s));
-            chosen.pop();
-            for &e in &newly_covered {
-                covered[e] = false;
-            }
-            if self.truncated {
-                break;
+            // A dominated candidate is skipped, not explored: see
+            // `dominated` for why its subtree cannot change the incumbent.
+            if !self.dominated(s, pivot_elem, covered, banned) {
+                // Include s.
+                let newly_covered: Vec<usize> = self
+                    .inst
+                    .elements(s)
+                    .iter()
+                    .copied()
+                    .filter(|&e| !covered[e])
+                    .collect();
+                for &e in &newly_covered {
+                    covered[e] = true;
+                }
+                chosen.push(s);
+                self.dfs(covered, banned, chosen, weight + self.inst.weight(s));
+                chosen.pop();
+                for &e in &newly_covered {
+                    covered[e] = false;
+                }
+                if self.truncated {
+                    break;
+                }
             }
             // Exclude s in all later branches (standard pivot branching).
             banned[s] = true;
@@ -170,7 +202,18 @@ impl Search<'_> {
 
 /// Exact minimum-weight set cover by branch-and-bound (mincov-style:
 /// fail-first pivot selection, essential sets implicit via unit pivots, an
-/// independent-element lower bound, greedy incumbent warm start).
+/// independent-element lower bound, greedy incumbent warm start, sibling
+/// dominance pruning).
+///
+/// Sibling dominance: a candidate `s` for the pivot is skipped (and banned
+/// for its later siblings, like an explored one) when a banned set `t`
+/// covering the pivot has `w(t) ≤ w(s)` and covers every still-uncovered
+/// element of `s`. The skipped subtree could only hold covers no lighter
+/// than one already searched, and only strict improvements replace the
+/// incumbent, so the returned cover is exactly the one the same search
+/// without the skip returns with an unlimited node limit — it just gets
+/// there in far fewer nodes when the instance has duplicate or dominated
+/// candidates.
 ///
 /// Returns `None` when the instance is not coverable. Otherwise the
 /// incumbent is always feasible (the greedy warm start guarantees one) and
@@ -195,16 +238,119 @@ pub fn solve_exact(inst: &CoverInstance, options: &ExactOptions) -> Option<Exact
     let mut banned = vec![false; inst.set_count()];
     let mut chosen = Vec::new();
     search.dfs(&mut covered, &mut banned, &mut chosen, 0);
-    let truncated = search.truncated;
+    let (truncated, nodes) = (search.truncated, search.nodes);
     search.best.map(|chosen| ExactCover {
         solution: CoverSolution::from_sets(inst, chosen),
         proven: !truncated,
+        nodes,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::solve_exact_undominated;
+    use rand::{Rng, SeedableRng};
+
+    /// A random instance plus injected twins: exact duplicates, heavier
+    /// copies and lighter-or-equal-weight subsets of earlier sets, the
+    /// shapes the correction planner's grid-line candidates take. The
+    /// injected sets land at random positions so dominators appear both
+    /// before and after the sets they dominate in candidate order.
+    fn instance_with_twins(rng: &mut impl Rng) -> CoverInstance {
+        let n = rng.gen_range(1..=12);
+        let base = rng.gen_range(1..=10);
+        let mut sets: Vec<(i64, Vec<usize>)> = (0..base)
+            .map(|_| {
+                let elems = (0..n).filter(|_| rng.gen_bool(0.35)).collect();
+                (rng.gen_range(1..20), elems)
+            })
+            .collect();
+        for _ in 0..rng.gen_range(0..=12) {
+            let (w, elems) = sets[rng.gen_range(0..sets.len())].clone();
+            let twin = match rng.gen_range(0..3) {
+                0 => (w, elems),
+                1 => (w + rng.gen_range(1..5), elems),
+                _ => {
+                    let sub: Vec<usize> = elems.into_iter().filter(|_| rng.gen_bool(0.7)).collect();
+                    (rng.gen_range(1..=w), sub)
+                }
+            };
+            let at = rng.gen_range(0..=sets.len());
+            sets.insert(at, twin);
+        }
+        CoverInstance::new(n, sets)
+    }
+
+    #[test]
+    fn dominance_returns_the_unlimited_undominated_cover() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let unlimited = ExactOptions {
+            node_limit: u64::MAX,
+            ..ExactOptions::default()
+        };
+        for trial in 0..600 {
+            let inst = instance_with_twins(&mut rng);
+            let got = solve_exact(&inst, &unlimited);
+            let want = solve_exact_undominated(&inst, u64::MAX);
+            match (got, want) {
+                (None, None) => {}
+                (Some(got), Some(want)) => {
+                    assert_eq!(got.solution, want.solution, "trial {trial}");
+                    assert_eq!(got.proven, want.proven, "trial {trial}");
+                    assert!(got.proven, "trial {trial}");
+                    assert!(
+                        got.nodes <= want.nodes,
+                        "trial {trial}: {} nodes > oracle's {}",
+                        got.nodes,
+                        want.nodes
+                    );
+                }
+                (got, want) => panic!(
+                    "trial {trial}: coverability disagrees ({} vs {})",
+                    got.is_some(),
+                    want.is_some()
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn twin_candidates_collapse_the_search() {
+        // Three disjoint rings of five elements; each ring edge is offered
+        // by three identical candidates. The independent-element bound
+        // leaves a gap on every odd ring, so the search must branch deep:
+        // without the skip every twin re-searches the same subtree.
+        let sets = (0..15)
+            .flat_map(|e| {
+                let edge = vec![e, e - e % 5 + (e + 1) % 5];
+                (0..3).map(move |_| (2, edge.clone()))
+            })
+            .collect();
+        let inst = CoverInstance::new(15, sets);
+        let unlimited = ExactOptions {
+            node_limit: u64::MAX,
+            ..ExactOptions::default()
+        };
+        let got = solve_exact(&inst, &unlimited).unwrap();
+        let want = solve_exact_undominated(&inst, u64::MAX).unwrap();
+        assert_eq!(got.solution, want.solution);
+        assert_eq!(got.solution.weight, 18);
+        assert!(got.proven);
+        assert!(
+            got.nodes * 1_000 <= want.nodes,
+            "{} nodes vs the undominated search's {}",
+            got.nodes,
+            want.nodes
+        );
+        // At a small node limit only the pruned search gets to a proof.
+        let capped = ExactOptions {
+            node_limit: 1_000,
+            ..ExactOptions::default()
+        };
+        assert_eq!(solve_exact(&inst, &capped).unwrap(), got);
+        assert!(!solve_exact_undominated(&inst, 1_000).unwrap().proven);
+    }
 
     #[test]
     fn beats_greedy_on_the_disjoint_pair_trap() {

@@ -85,6 +85,9 @@ pub struct DecomposedCover {
     /// Whether the whole cover is provably minimum-weight: the instance is
     /// coverable and every component's exact search completed.
     pub optimal: bool,
+    /// Branch-and-bound nodes ([`ExactCover::nodes`]) summed over the
+    /// components; greedy and single-set components add none.
+    pub nodes: u64,
 }
 
 /// The sets of each connected component, components ordered by minimal
@@ -121,19 +124,19 @@ fn component_sets(inst: &CoverInstance) -> Vec<Vec<usize>> {
 }
 
 /// One component's solve: dense sub-instance extraction + exact-or-greedy.
-/// Returns the chosen *global* set indices and whether the component was
-/// solved to proven optimality.
+/// Returns the chosen *global* set indices, whether the component was
+/// solved to proven optimality, and the search nodes it took.
 fn solve_component(
     inst: &CoverInstance,
     sets: &[usize],
     opts: &DecomposeOptions,
-) -> (Vec<usize>, bool) {
+) -> (Vec<usize>, bool, u64) {
     debug_assert!(!sets.is_empty());
     aapsm_fault::hit(FaultSite::CoverComponent);
     if sets.len() == 1 {
         // A single set covering its whole component is trivially the
         // unique minimum cover (weights are positive).
-        return (vec![sets[0]], true);
+        return (vec![sets[0]], true, 0);
     }
     // Dense element renumbering, ascending global order (sets are already
     // ascending), so the sub-instance bytes are canonical.
@@ -162,7 +165,7 @@ fn solve_component(
             })
             .collect(),
     );
-    let (chosen_local, proven) = if sets.len() <= opts.max_exact_sets {
+    let (chosen_local, proven, nodes) = if sets.len() <= opts.max_exact_sets {
         match solve_exact(
             &sub,
             &ExactOptions {
@@ -170,15 +173,23 @@ fn solve_component(
                 budget: opts.budget.clone(),
             },
         ) {
-            Some(ExactCover { solution, proven }) => (solution.chosen, proven),
+            Some(ExactCover {
+                solution,
+                proven,
+                nodes,
+            }) => (solution.chosen, proven, nodes),
             // Unreachable for components built from incidence (every
             // element has a covering set), but stay total.
-            None => (solve_greedy(&sub).chosen, false),
+            None => (solve_greedy(&sub).chosen, false, 0),
         }
     } else {
-        (solve_greedy(&sub).chosen, false)
+        (solve_greedy(&sub).chosen, false, 0)
     };
-    (chosen_local.into_iter().map(|s| sets[s]).collect(), proven)
+    (
+        chosen_local.into_iter().map(|s| sets[s]).collect(),
+        proven,
+        nodes,
+    )
 }
 
 /// Solves a weighted set cover by connected-component decomposition: each
@@ -190,7 +201,7 @@ fn solve_component(
 pub fn solve_decomposed(inst: &CoverInstance, opts: &DecomposeOptions) -> DecomposedCover {
     let comps = component_sets(inst);
     let workers = resolve_workers(opts.parallelism).min(comps.len()).max(1);
-    let solved: Vec<(Vec<usize>, bool)> = par_map_indexed(
+    let solved: Vec<(Vec<usize>, bool, u64)> = par_map_indexed(
         comps.len(),
         workers,
         || (),
@@ -198,9 +209,11 @@ pub fn solve_decomposed(inst: &CoverInstance, opts: &DecomposeOptions) -> Decomp
     );
     let mut chosen = Vec::new();
     let mut optimal_components = 0usize;
-    for (sets, proven) in &solved {
+    let mut nodes = 0u64;
+    for (sets, proven, component_nodes) in &solved {
         chosen.extend_from_slice(sets);
         optimal_components += usize::from(*proven);
+        nodes += component_nodes;
     }
     let optimal = inst.is_coverable() && optimal_components == comps.len();
     DecomposedCover {
@@ -208,6 +221,7 @@ pub fn solve_decomposed(inst: &CoverInstance, opts: &DecomposeOptions) -> Decomp
         components: comps.len(),
         optimal_components,
         optimal,
+        nodes,
     }
 }
 

@@ -11,18 +11,28 @@
 //! * [`solve_greedy`] — the classic ln(n)-approximate greedy (weight per
 //!   newly covered element),
 //! * [`solve_exact`] — a mincov-style branch-and-bound with essential-set
-//!   propagation and an independent-set lower bound, reporting truthfully
-//!   whether its search completed ([`ExactCover::proven`]),
+//!   propagation, an independent-set lower bound and sibling dominance
+//!   pruning, reporting truthfully whether its search completed
+//!   ([`ExactCover::proven`]) and how many nodes it took
+//!   ([`ExactCover::nodes`]),
 //! * [`solve_decomposed`] — the production path: connected-component
 //!   decomposition of the candidate–element incidence, each component
 //!   solved independently (exact under a per-component node budget, greedy
 //!   fallback) on scoped worker threads with a deterministic merge that is
 //!   bit-identical at every parallelism degree (see [`decompose`] module
-//!   docs for the invariants),
-//! * [`solve_auto`] — exact when the instance is small enough, greedy
-//!   otherwise: the pre-decomposition monolithic entry point, kept as the
-//!   baseline [`solve_decomposed`] is cross-validated against (and as the
-//!   regression surface for the truncation-reporting fix).
+//!   docs for the invariants).
+//!
+//! # Sibling dominance
+//!
+//! The correction planner's components are full of duplicate candidates:
+//! grid lines at different positions that correct the same conflicts at
+//! the same width. Plain pivot branching re-searches every twin's subtree;
+//! [`solve_exact`] skips a candidate when a set at most as heavy, already
+//! searched and excluded at this node or an ancestor, covers everything
+//! the candidate would add. The
+//! skip never changes the answer: **the returned cover is exactly the
+//! cover of the same search without the skip at an unlimited node limit**,
+//! which a test-only copy of that search checks on random instances.
 //!
 //! # Example
 //!
@@ -46,6 +56,8 @@ mod branch;
 pub mod decompose;
 mod greedy;
 mod instance;
+#[cfg(test)]
+mod oracle;
 
 pub use branch::{solve_exact, ExactCover, ExactOptions};
 pub use decompose::{solve_decomposed, DecomposeOptions, DecomposedCover};
@@ -54,25 +66,10 @@ pub use instance::{CoverInstance, CoverSolution};
 
 pub use aapsm_fault::{Budget, BudgetSpec};
 
-/// Solves exactly when the instance is small (≤ `exact_limit` sets and
-/// elements), greedily otherwise.
-///
-/// Returns the solution and whether it is **provably** optimal: `true`
-/// requires the exact search to have completed — an incumbent returned by
-/// a node-limit-truncated search is feasible but unproven, so it reports
-/// `false` exactly like the greedy fallback does.
-pub fn solve_auto(inst: &CoverInstance, exact_limit: usize) -> (CoverSolution, bool) {
-    if inst.set_count() <= exact_limit && inst.universe_size() <= 4 * exact_limit {
-        if let Some(out) = solve_exact(inst, &ExactOptions::default()) {
-            return (out.solution, out.proven);
-        }
-    }
-    (solve_greedy(inst), false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::solve_auto;
     use rand::{Rng, SeedableRng};
 
     /// Exhaustive optimum for tiny instances.
